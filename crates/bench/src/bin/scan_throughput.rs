@@ -25,13 +25,23 @@
 //! responsible for, whatever the filter keeps). Every arm's result rows
 //! are asserted equal to the `row` arm's before anything is timed.
 //!
+//! A fifth arm, `dml_point`, times the write side of the same columnar
+//! path: `iters` autocommit one-row `UPDATE ... WHERE k = ?` and as many
+//! one-row `DELETE ... WHERE k = ?` statements through
+//! `Session::execute`, each on a distinct key spread over the table. The
+//! predicate is matched through the zone-map-pruned columnar scan and
+//! only the partition holding the row is rewritten, so the cost tracks
+//! the partitions touched, not the table size. Each statement must
+//! report exactly one row.
+//!
 //! Gates (asserted, with one re-measure to absorb scheduler noise):
 //! `columnar+pushdown` must beat `row` by ≥5x — pruning alone removes
 //! ~95% of the data motion, so this holds on any host — and on hosts
 //! with ≥2 cores `parallel` must additionally be no slower than ~0.7x
 //! `columnar+pushdown` (parallelism may not help a pruned scan this
 //! small, but it must not wreck it; on 1-core hosts the arm still runs,
-//! exercising the cursor, and the gate is skipped).
+//! exercising the cursor, and the gate is skipped). Both `dml_point`
+//! statements must have a p50 of at most 1 ms.
 //!
 //! Run with: `cargo run --release -p dt-bench --bin scan_throughput`
 //! Optional args: `[rows] [partitions] [iters] [--json PATH]`.
@@ -40,7 +50,7 @@
 
 use std::time::Instant;
 
-use dt_core::{DbConfig, Engine, ReadSnapshot};
+use dt_core::{DbConfig, Engine, ExecResult, ReadSnapshot};
 use dt_plan::LogicalPlan;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -146,6 +156,49 @@ fn run_arm(
     }
 }
 
+/// Gate for the `dml_point` arm: p50 of a one-row UPDATE / DELETE.
+const DML_POINT_P50_US: u64 = 1_000;
+
+struct DmlReport {
+    stmt: &'static str,
+    p50: u64,
+    p99: u64,
+    max: u64,
+}
+
+/// The `dml_point` arm: `iters` one-row UPDATEs and `iters` one-row
+/// DELETEs by key, through autocommit `Session::execute`. Keys are
+/// distinct and spread across the table; `round` shifts them so a
+/// re-measure never revisits a deleted key.
+fn run_dml_point(engine: &Engine, rows: usize, iters: usize, round: usize) -> [DmlReport; 2] {
+    let session = engine.session();
+    let gap = rows / (2 * iters);
+    assert!(round < gap, "table too small for {iters} dml_point keys");
+    let run = |sql: String| {
+        let t0 = Instant::now();
+        let out = session.execute(&sql).unwrap();
+        let us = t0.elapsed().as_micros() as u64;
+        assert!(matches!(out, ExecResult::Count(1)), "{sql} did not touch exactly one row");
+        us
+    };
+    let (mut update, mut delete) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    for i in 0..iters {
+        let key = 2 * i * gap + round;
+        update.push(run(format!("UPDATE scan_bench SET v = v + 1 WHERE k = {key}")));
+        delete.push(run(format!("DELETE FROM scan_bench WHERE k = {}", key + gap)));
+    }
+    let report = |stmt, mut lat: Vec<u64>| {
+        lat.sort_unstable();
+        DmlReport {
+            stmt,
+            p50: percentile(&lat, 0.50),
+            p99: percentile(&lat, 0.99),
+            max: lat.last().copied().unwrap_or(0),
+        }
+    };
+    [report("update", update), report("delete", delete)]
+}
+
 fn json_line(r: &ArmReport) -> String {
     format!(
         "    {{\"arm\": \"{}\", \"threads\": {}, \"result_rows\": {}, \
@@ -191,7 +244,7 @@ fn main() {
     let hi = lo + rows / 20;
     let sql = format!("SELECT k, v FROM scan_bench WHERE k >= {lo} AND k < {hi}");
 
-    println!("# Scan throughput: row vs columnar vs pushdown vs parallel");
+    println!("# Scan throughput: row vs columnar vs pushdown vs parallel, plus dml_point");
     println!(
         "# {rows} rows x {partitions} partitions, ~5% selective band \
          [{lo}, {hi}), {iters} iters/arm, {cores} core(s)\n"
@@ -239,14 +292,39 @@ fn main() {
         );
     }
 
+    let mut dml = run_dml_point(&engine, rows, iters, 0);
+    for r in &dml {
+        println!(
+            "{:<19} {:>8} {:>12} {:>9} {:>9} {:>9} {:>14}",
+            format!("dml_point {}", r.stmt),
+            1,
+            1,
+            r.p50,
+            r.p99,
+            r.max,
+            "-",
+        );
+    }
+
     if let Some(path) = &json_path {
         let body: Vec<String> = reports.iter().map(json_line).collect();
+        let dml_body: Vec<String> = dml
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"stmt\": \"{}\", \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
+                    r.stmt, r.p50, r.p99, r.max
+                )
+            })
+            .collect();
         let json = format!(
             "{{\n  \"bench\": \"scan_throughput\",\n  \"rows\": {rows},\n  \
              \"partitions\": {partitions},\n  \"selectivity\": {:.3},\n  \
-             \"iters\": {iters},\n  \"cores\": {cores},\n  \"arms\": [\n{}\n  ]\n}}\n",
+             \"iters\": {iters},\n  \"cores\": {cores},\n  \"arms\": [\n{}\n  ],\n  \
+             \"dml_point\": [\n{}\n  ]\n}}\n",
             (hi - lo) as f64 / rows as f64,
-            body.join(",\n")
+            body.join(",\n"),
+            dml_body.join(",\n")
         );
         std::fs::write(path, json).unwrap();
         println!("\nwrote {path}");
@@ -263,9 +341,11 @@ fn main() {
     let parallel_ok = |rs: &[ArmReport]| {
         cores < 2 || tput(rs, Arm::Parallel) >= 0.7 * tput(rs, Arm::Pushdown)
     };
-    if !pushdown_ok(&reports) || !parallel_ok(&reports) {
+    let dml_ok = |rs: &[DmlReport; 2]| rs.iter().all(|r| r.p50 <= DML_POINT_P50_US);
+    if !pushdown_ok(&reports) || !parallel_ok(&reports) || !dml_ok(&dml) {
         println!("\nnote: re-measuring gates once (first pass missed a bound)");
         reports = measure(iters);
+        dml = run_dml_point(&engine, rows, iters, 1);
     }
     assert!(
         pushdown_ok(&reports),
@@ -279,16 +359,24 @@ fn main() {
         tput(&reports, Arm::Parallel),
         tput(&reports, Arm::Pushdown),
     );
+    for r in &dml {
+        assert!(
+            r.p50 <= DML_POINT_P50_US,
+            "dml_point {} p50 {} µs exceeds {DML_POINT_P50_US} µs",
+            r.stmt,
+            r.p50
+        );
+    }
 
     if cores < 2 {
         println!(
-            "\nok: all arms agree; columnar+pushdown ≥5x row \
-             (parallel gate skipped — 1 core)"
+            "\nok: all arms agree; columnar+pushdown ≥5x row; dml_point p50 \
+             ≤ {DML_POINT_P50_US} µs (parallel gate skipped — 1 core)"
         );
     } else {
         println!(
             "\nok: all arms agree; columnar+pushdown ≥5x row; \
-             parallel within bounds on {cores} cores"
+             parallel within bounds on {cores} cores; dml_point p50 ≤ {DML_POINT_P50_US} µs"
         );
     }
 }

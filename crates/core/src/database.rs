@@ -485,15 +485,22 @@ impl EngineState {
                 table,
                 values,
                 query,
-            } => self.dml_insert(&table, values, query, params),
+            } => {
+                let change = dml::plan_insert(self, &table, values, query, params)?;
+                self.commit_dml(change)
+            }
             ast::Statement::Delete { table, predicate } => {
-                self.dml_delete(&table, predicate, params)
+                let change = dml::plan_delete(self, &table, predicate, params)?;
+                self.commit_dml(change)
             }
             ast::Statement::Update {
                 table,
                 assignments,
                 predicate,
-            } => self.dml_update(&table, assignments, predicate, params),
+            } => {
+                let change = dml::plan_update(self, &table, assignments, predicate, params)?;
+                self.commit_dml(change)
+            }
             ast::Statement::Clone { name, source } => self.clone_entity(&name, &source, role),
             ast::Statement::Drop { name } => {
                 let now = self.now();
@@ -723,13 +730,15 @@ impl EngineState {
         }
     }
 
-    fn commit_dml(
-        &mut self,
-        entity: EntityId,
-        inserts: Vec<Row>,
-        deletes: Vec<Row>,
-    ) -> DtResult<usize> {
-        let n = inserts.len() + deletes.len();
+    /// Commit one planned DML statement as its own transaction — the
+    /// engine-lock auto-commit path. The caller holds the engine write
+    /// lock, so the statement's base version is still the latest; the
+    /// change takes the same prepare → install path as every transaction
+    /// commit and is WAL-logged (when the engine is durable) before the
+    /// write lock drops.
+    fn commit_dml(&mut self, change: dml::DmlChange) -> DtResult<ExecResult> {
+        debug_assert!(change.cancels.is_empty(), "no buffered inserts to cancel");
+        let entity = change.entity;
         let t = self.txn.begin();
         self.txn.try_lock(&t, entity)?;
         let commit_ts = self.txn.commit(&t)?;
@@ -737,55 +746,17 @@ impl EngineState {
             .tables
             .get(&entity)
             .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
-        if self.wal_enabled() {
-            // Two-phase form of the same commit, so the physical install
-            // record can be logged before anyone observes the version.
-            let prep = store.prepare_change_at(store.latest_version(), inserts, deletes)?;
-            let rec = prep.install_record();
-            store.install_prepared(prep, commit_ts, t.id)?;
+        let base = change.base.unwrap_or_else(|| store.latest_version());
+        let prep = store.prepare_change_at(base, change.inserts, change.deletes)?;
+        let rec = self.wal_enabled().then(|| prep.install_record());
+        store.install_prepared(prep, commit_ts, t.id)?;
+        if let Some(rec) = rec {
             self.wal_append(&[WalRecord::DmlCommit {
                 commit_ts,
                 txn: t.id,
                 tables: vec![(entity, rec)],
             }])?;
-        } else {
-            store.commit_change(inserts, deletes, commit_ts, t.id)?;
         }
-        Ok(n)
-    }
-
-    fn dml_insert(
-        &mut self,
-        table: &str,
-        values: Vec<Vec<ast::Expr>>,
-        query: Option<ast::Query>,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        let change = dml::plan_insert(self, table, values, query, params)?;
-        self.commit_dml(change.entity, change.inserts, change.deletes)?;
-        Ok(ExecResult::Count(change.count))
-    }
-
-    fn dml_delete(
-        &mut self,
-        table: &str,
-        predicate: Option<ast::Expr>,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        let change = dml::plan_delete(self, table, predicate, params)?;
-        self.commit_dml(change.entity, change.inserts, change.deletes)?;
-        Ok(ExecResult::Count(change.count))
-    }
-
-    fn dml_update(
-        &mut self,
-        table: &str,
-        assignments: Vec<(String, ast::Expr)>,
-        predicate: Option<ast::Expr>,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        let change = dml::plan_update(self, table, assignments, predicate, params)?;
-        self.commit_dml(change.entity, change.inserts, change.deletes)?;
         Ok(ExecResult::Count(change.count))
     }
 
@@ -988,10 +959,10 @@ impl EngineState {
     }
 }
 
-/// DML planned against the live latest state (the legacy auto-commit path:
-/// prepared DML, the `Database` shim, and internal callers that already
-/// hold the engine write lock). Transactions plan against their pinned
-/// snapshot instead — see [`crate::Transaction`].
+/// DML planned against the latest state under the engine write lock (the
+/// engine-lock auto-commit path: the `Database` shim and callers that
+/// already hold the engine write lock). Transactions plan against their
+/// pinned snapshot instead — see [`crate::Transaction`].
 impl DmlSource for EngineState {
     fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
         self.base_table(name)
@@ -1009,12 +980,15 @@ impl DmlSource for EngineState {
         self.execute_plan_latest(plan)
     }
 
-    fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>> {
+    fn target_view(&self, id: EntityId) -> DtResult<dml::TableView<'_>> {
         let store = self
             .tables
             .get(&id)
             .ok_or_else(|| DtError::Storage(format!("no storage for {id}")))?;
-        store.scan(store.latest_version())
+        Ok(dml::TableView {
+            base: store.snapshot_latest(),
+            writes: None,
+        })
     }
 }
 

@@ -2,20 +2,37 @@
 //! DELETE / UPDATE statements against *some* view of the database.
 //!
 //! Two consumers share this logic. [`crate::database::EngineState`] plans
-//! against the live latest state under the engine write lock (the legacy
-//! auto-commit path used by prepared statements and the `Database` shim),
-//! and [`crate::Transaction`] plans against its pinned snapshot overlaid
-//! with its own buffered write set. The row computation — value binding,
-//! coercion, predicate matching, assignment evaluation — is identical;
-//! only the scan source and what happens to the resulting change differ
-//! (immediate commit vs buffering until `COMMIT`).
+//! against the latest version under the engine write lock (the
+//! engine-lock auto-commit path), and [`crate::Transaction`] plans against
+//! its pinned snapshot overlaid with its own buffered write set. The row
+//! computation — value binding, coercion, predicate matching, assignment
+//! evaluation — is identical; only the [`TableView`] and what happens to
+//! the resulting change differ (immediate commit vs buffering until
+//! `COMMIT`).
+//!
+//! UPDATE and DELETE match **by position**. The predicate is bound, its
+//! pushable conjuncts move into the scan ([`dt_plan::push_down_filters`]),
+//! and one sequential columnar pass over the view's partitions skips the
+//! partitions whose zone maps rule the predicate out and evaluates the
+//! rest with the vectorized Kleene filter ([`dt_exec::filter_batch`]).
+//! Its selection bitmaps become [`RowPos`] positions in the pinned base
+//! version, plus indices into the transaction's own buffered inserts; no
+//! table is materialised as rows and no row is hashed. Zone-map pruning
+//! only runs when the whole predicate is error-free
+//! ([`dt_exec::vectorizes`]), so an erroring predicate fails on exactly
+//! the row the row interpreter would fail on.
 
-use dt_common::{DtError, DtResult, EntityId, Row, Schema, Value};
-use dt_plan::{BindOutput, LogicalPlan};
+use std::collections::BTreeSet;
+
+use dt_common::{
+    Batch, DtError, DtResult, EntityId, PartitionId, PredicateSet, Row, Schema, Value, VersionId,
+};
+use dt_plan::{BindOutput, LogicalPlan, ScalarExpr};
 use dt_sql::ast;
+use dt_storage::{RowPos, TableSnapshot};
 
 /// The view a DML statement is planned against: name resolution, query
-/// binding/execution, and base-table scans.
+/// binding/execution, and the target table's rows.
 pub(crate) trait DmlSource {
     /// Resolve a DML target to a base table (errors for views and DTs).
     fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)>;
@@ -26,23 +43,143 @@ pub(crate) trait DmlSource {
     fn bind_query(&self, q: &ast::Query) -> DtResult<BindOutput>;
     /// Execute a bound plan against this view's data.
     fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>>;
-    /// The currently visible rows of a base table in this view.
-    fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>>;
+    /// The rows UPDATE / DELETE match against: a pinned version of the
+    /// base table, with any buffered writes layered over it.
+    fn target_view(&self, id: EntityId) -> DtResult<TableView<'_>>;
 }
 
-/// The row-level effect of one DML statement: rows to insert and rows to
-/// delete on one base table, plus the statement's user-visible row count.
+/// The row-level effect of one DML statement on one base table, plus the
+/// statement's user-visible row count.
 #[derive(Debug, Clone)]
 pub(crate) struct DmlChange {
     /// The target base table.
     pub entity: EntityId,
+    /// The table version `deletes` are positions in (`None` when the
+    /// statement matched nothing, e.g. an INSERT).
+    pub base: Option<VersionId>,
     /// Rows the statement adds.
     pub inserts: Vec<Row>,
-    /// Rows the statement removes (multiset, by value).
-    pub deletes: Vec<Row>,
+    /// Rows the statement removes from `base`, by position.
+    pub deletes: Vec<RowPos>,
+    /// Indices into the transaction's own buffered inserts that the
+    /// statement removes (always empty outside a transaction).
+    pub cancels: Vec<usize>,
     /// Rows inserted / deleted / matched by UPDATE — what
     /// `ExecResult::Count` reports.
     pub count: usize,
+}
+
+/// A transaction's buffered effect on one table.
+#[derive(Debug, Default)]
+pub(crate) struct TableWrites {
+    /// Rows the transaction adds.
+    pub inserts: Vec<Row>,
+    /// Rows the transaction removes, as positions in its pinned base
+    /// version. Always disjoint from the own inserts: a statement that
+    /// removes one of those cancels it instead.
+    pub deletes: BTreeSet<RowPos>,
+}
+
+impl TableWrites {
+    /// Fold one statement's change in. Cancelled own inserts are dropped
+    /// in one pass (a row inserted and deleted in the same transaction
+    /// leaves no trace); deleted base positions join the set.
+    pub fn fold(&mut self, change: DmlChange) {
+        if !change.cancels.is_empty() {
+            let mut cancelled = vec![false; self.inserts.len()];
+            for i in change.cancels {
+                cancelled[i] = true;
+            }
+            let mut i = 0;
+            self.inserts.retain(|_| {
+                i += 1;
+                !cancelled[i - 1]
+            });
+        }
+        self.deletes.extend(change.deletes);
+        self.inserts.extend(change.inserts);
+    }
+
+    /// True when the write set nets to nothing.
+    pub fn is_empty(&self) -> bool {
+        self.inserts.is_empty() && self.deletes.is_empty()
+    }
+
+    /// Offsets this write set deletes from base partition `partition`,
+    /// ascending.
+    fn deleted_in(&self, partition: PartitionId) -> impl Iterator<Item = usize> + '_ {
+        self.deletes
+            .range(
+                RowPos {
+                    partition,
+                    offset: 0,
+                }..=RowPos {
+                    partition,
+                    offset: usize::MAX,
+                },
+            )
+            .map(|p| p.offset)
+    }
+}
+
+/// One base table as a DML statement (or a read inside a transaction)
+/// sees it: a pinned version, minus the positions the transaction deleted,
+/// plus the rows it inserted.
+pub(crate) struct TableView<'a> {
+    /// The pinned base version.
+    pub base: TableSnapshot,
+    /// Buffered writes layered over `base`, if any.
+    pub writes: Option<&'a TableWrites>,
+}
+
+/// Where a batch of a [`TableView`] comes from.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// The base partition at this index of the pinned version.
+    Base(usize),
+    /// The transaction's own buffered inserts.
+    Own,
+}
+
+impl TableView<'_> {
+    /// The view as columnar batches, in scan order, each tagged with its
+    /// origin: every base partition that survives `filter`'s zone-map
+    /// check (with the filter applied and deleted positions deselected),
+    /// then the own inserts (filtered row-equivalently). Sequential by
+    /// design: a point statement touches a handful of partitions, and a
+    /// thread fan-out per statement would cost more than the scan.
+    fn batches(&self, filter: Option<&PredicateSet>) -> Vec<(Origin, Batch)> {
+        let mut out = Vec::new();
+        for (i, part) in self.base.partitions().iter().enumerate() {
+            let Some(mut batch) = self.base.partition_batch(i, filter) else {
+                continue;
+            };
+            if let Some(w) = self.writes {
+                let mut deleted = w.deleted_in(part.id()).peekable();
+                if deleted.peek().is_some() {
+                    let mut keep = vec![true; batch.len()];
+                    for offset in deleted {
+                        keep[offset] = false;
+                    }
+                    batch.retain(&keep);
+                }
+            }
+            out.push((Origin::Base(i), batch));
+        }
+        if let Some(w) = self.writes.filter(|w| !w.inserts.is_empty()) {
+            let mut batch = Batch::from_rows(self.base.schema().len(), &w.inserts);
+            if let Some(f) = filter {
+                f.apply(&mut batch);
+            }
+            out.push((Origin::Own, batch));
+        }
+        out
+    }
+
+    /// The view as columnar batches (see [`TableView::batches`]).
+    pub fn scan_batches(&self, filter: Option<&PredicateSet>) -> Vec<Batch> {
+        self.batches(filter).into_iter().map(|(_, b)| b).collect()
+    }
 }
 
 /// Coerce a value row to a table schema (arity + type checks).
@@ -133,44 +270,106 @@ pub(crate) fn plan_insert(
     let count = rows.len();
     Ok(DmlChange {
         entity: id,
+        base: None,
         inserts: rows,
         deletes: vec![],
+        cancels: vec![],
         count,
     })
 }
 
-/// The visible rows of `id` matching `predicate` (all rows when absent).
-fn matching_rows(
+/// What an UPDATE / DELETE predicate matched in a [`TableView`].
+#[derive(Default)]
+struct Matches {
+    /// Matched rows of the pinned base version.
+    base: Vec<RowPos>,
+    /// Matched own inserts, as indices into [`TableWrites::inserts`].
+    own: Vec<usize>,
+    /// The matched rows' values (only when asked for): base matches in
+    /// scan order, then own matches.
+    rows: Vec<Row>,
+}
+
+/// Match `predicate` (every row when absent) against `view` in one
+/// sequential columnar pass; see the module docs. `with_rows` also
+/// collects the matched rows' values, which UPDATE needs.
+fn match_rows(
     src: &dyn DmlSource,
     id: EntityId,
-    predicate: &Option<ast::Expr>,
+    view: &TableView<'_>,
+    predicate: Option<ast::Expr>,
     params: &[Value],
-) -> DtResult<Vec<Row>> {
-    let all = src.scan_base(id)?;
-    let Some(p) = predicate else {
-        return Ok(all);
+    with_rows: bool,
+) -> DtResult<Matches> {
+    let (pushdown, residual) = match predicate {
+        None => (None, None),
+        Some(p) => split_predicate(src, id, view.base.schema().len(), p, params)?,
     };
-    // Bind the predicate against the table's schema.
+    let mut m = Matches::default();
+    for (origin, mut batch) in view.batches(pushdown.as_ref()) {
+        if let Some(r) = &residual {
+            dt_exec::filter_batch(&mut batch, r)?;
+        }
+        let live = batch.live_indices();
+        match origin {
+            Origin::Base(i) => {
+                let part = &view.base.partitions()[i];
+                if with_rows {
+                    m.rows.extend(live.iter().map(|o| part.rows()[*o].clone()));
+                }
+                m.base.extend(live.into_iter().map(|offset| RowPos {
+                    partition: part.id(),
+                    offset,
+                }));
+            }
+            Origin::Own => {
+                let own = &view.writes.expect("own batch implies writes").inserts;
+                if with_rows {
+                    m.rows.extend(live.iter().map(|o| own[*o].clone()));
+                }
+                m.own = live;
+            }
+        }
+    }
+    Ok(m)
+}
+
+/// Bind `predicate` in `id`'s scope and split it for the scan: the
+/// conjuncts [`dt_plan::push_down_filters`] moves into the scan (zone-map
+/// pruning plus a row selection) and the residual the batch filter
+/// evaluates. A predicate that can error is never pushed — pruning would
+/// skip rows the row interpreter evaluates, and so hide their errors.
+fn split_predicate(
+    src: &dyn DmlSource,
+    id: EntityId,
+    arity: usize,
+    predicate: ast::Expr,
+    params: &[Value],
+) -> DtResult<(Option<PredicateSet>, Option<ScalarExpr>)> {
     let q = scaffold_query(
         vec![ast::SelectItem::Wildcard],
         Some(src.entity_name(id)?),
-        Some(p.clone()),
+        Some(predicate),
     );
     let out = src.bind_query(&q)?;
-    let LogicalPlan::Project { input, .. } = &out.plan else {
+    let LogicalPlan::Project { input, .. } = out.plan else {
         return Err(DtError::internal("expected projection"));
     };
-    let LogicalPlan::Filter { predicate, .. } = input.as_ref() else {
+    let filter = input.bind_params(params)?;
+    let LogicalPlan::Filter { predicate, .. } = &filter else {
         return Err(DtError::internal("expected filter"));
     };
-    let predicate = predicate.bind_params(params)?;
-    let mut out_rows = Vec::new();
-    for r in all {
-        if predicate.eval(&r)?.is_true() {
-            out_rows.push(r);
-        }
+    if !dt_exec::vectorizes(predicate, arity) {
+        return Ok((None, Some(predicate.clone())));
     }
-    Ok(out_rows)
+    Ok(match dt_plan::push_down_filters(&filter) {
+        LogicalPlan::TableScan { pushdown, .. } => (pushdown, None),
+        LogicalPlan::Filter { input, predicate } => match *input {
+            LogicalPlan::TableScan { pushdown, .. } => (pushdown, Some(predicate)),
+            _ => return Err(DtError::internal("expected scan under filter")),
+        },
+        _ => return Err(DtError::internal("expected scan or filter")),
+    })
 }
 
 /// Plan `DELETE FROM table [WHERE predicate]`.
@@ -181,13 +380,15 @@ pub(crate) fn plan_delete(
     params: &[Value],
 ) -> DtResult<DmlChange> {
     let (id, _schema) = src.target_table(table)?;
-    let doomed = matching_rows(src, id, &predicate, params)?;
-    let count = doomed.len();
+    let view = src.target_view(id)?;
+    let m = match_rows(src, id, &view, predicate, params, false)?;
     Ok(DmlChange {
         entity: id,
+        base: Some(view.base.version()),
         inserts: vec![],
-        deletes: doomed,
-        count,
+        count: m.base.len() + m.own.len(),
+        deletes: m.base,
+        cancels: m.own,
     })
 }
 
@@ -200,9 +401,10 @@ pub(crate) fn plan_update(
     params: &[Value],
 ) -> DtResult<DmlChange> {
     let (id, schema) = src.target_table(table)?;
-    let old = matching_rows(src, id, &predicate, params)?;
+    let view = src.target_view(id)?;
+    let m = match_rows(src, id, &view, predicate, params, true)?;
     // Bind assignment expressions against the table schema.
-    let mut bound: Vec<(usize, dt_plan::ScalarExpr)> = Vec::new();
+    let mut bound: Vec<(usize, ScalarExpr)> = Vec::new();
     for (col, e) in &assignments {
         let idx = schema.index_of(col)?;
         let q = scaffold_query(
@@ -219,8 +421,8 @@ pub(crate) fn plan_update(
         };
         bound.push((idx, exprs[0].bind_params(params)?));
     }
-    let mut new_rows = Vec::with_capacity(old.len());
-    for r in &old {
+    let mut new_rows = Vec::with_capacity(m.rows.len());
+    for r in &m.rows {
         let mut vals = r.values().to_vec();
         for (idx, e) in &bound {
             let v = e.eval(r)?;
@@ -232,11 +434,12 @@ pub(crate) fn plan_update(
         }
         new_rows.push(Row::new(vals));
     }
-    let count = old.len();
     Ok(DmlChange {
         entity: id,
+        base: Some(view.base.version()),
         inserts: new_rows,
-        deletes: old,
-        count,
+        count: m.rows.len(),
+        deletes: m.base,
+        cancels: m.own,
     })
 }

@@ -388,6 +388,7 @@ pub(crate) fn compute_refresh(
         }
     }
     let changed = inserts.len() + deletes.len();
+    let deletes = store.locate(base, &deletes)?;
     let prep = store.prepare_change_at(base, inserts, deletes)?;
     let dt_rows = stored.len();
     Ok(ComputedRefresh {

@@ -207,6 +207,13 @@ impl ReadSnapshot {
         self.tables.get(&entity).map(|h| Arc::clone(&h.store))
     }
 
+    /// The pinned version of a table as a storage snapshot — what DML
+    /// inside a transaction matches against and overlays its writes on.
+    pub(crate) fn table_snapshot(&self, entity: EntityId) -> DtResult<dt_storage::TableSnapshot> {
+        let (handle, version) = self.pinned(entity)?;
+        handle.store.snapshot(version)
+    }
+
     /// The payload schema of a DT (stored schema minus `$ROW_ID`).
     fn dt_payload_schema(&self, id: EntityId) -> DtResult<Schema> {
         let handle = self

@@ -8,7 +8,10 @@
 //! commits land concurrently. DML inside the transaction never touches
 //! shared state: its row-level effect is computed against the pinned
 //! snapshot overlaid with the transaction's own buffered writes
-//! (read-your-own-writes), and buffered in a per-table write set.
+//! (read-your-own-writes), and buffered in a per-table write set of
+//! inserted rows plus deleted **positions** in the pinned version (an
+//! UPDATE is both). A statement that removes one of the transaction's
+//! own inserts cancels it instead of recording a delete.
 //!
 //! `COMMIT` applies the write set atomically under optimistic
 //! first-committer-wins validation:
@@ -20,8 +23,11 @@
 //!    lock is an in-flight committer, i.e. a conflict.
 //! 2. **Row work** — build each touched table's new version against the
 //!    pinned base ([`dt_storage::TableStore::prepare_change_at`]) holding
-//!    no lock at all: COW delete rewrites and partition minting happen
-//!    while readers and other committers proceed.
+//!    no lock at all: only the partitions the deleted positions name are
+//!    rewritten copy-on-write, every other partition is carried over by
+//!    id, and the inserts are minted into new partitions — all while
+//!    readers and other committers proceed. Positions mean something only
+//!    against the pinned version, which install re-validates below.
 //! 3. **Group-committed validation + install** — the prepared request
 //!    enters the engine's [`dt_txn::CommitQueue`]; one **leader** drains
 //!    the queue and takes the engine write lock *once for the whole
@@ -45,7 +51,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dt_common::{DtError, DtResult, EntityId, Row, Schema, Timestamp, TxnId, Value};
+use dt_common::{
+    Batch, DtError, DtResult, EntityId, PredicateSet, Row, Schema, Timestamp, TxnId, Value,
+};
 use dt_exec::TableProvider;
 use dt_plan::{BindOutput, LogicalPlan};
 use dt_sql::ast;
@@ -53,7 +61,7 @@ use dt_storage::{PreparedChange, TableStore};
 use dt_txn::Txn;
 
 use crate::database::{EngineState, ExecResult, QueryResult};
-use crate::dml::{self, DmlChange, DmlSource};
+use crate::dml::{self, DmlChange, DmlSource, TableView, TableWrites};
 use crate::durability::WalRecord;
 use crate::engine::Engine;
 use crate::snapshot::ReadSnapshot;
@@ -74,58 +82,47 @@ pub fn is_serialization_conflict(e: &DtError) -> bool {
         || matches!(e, DtError::Txn(m) if m.contains("conflict") || m.contains("is locked by"))
 }
 
-/// The buffered effect of a transaction on one table.
-#[derive(Debug, Default)]
-struct TableWrites {
-    inserts: Vec<Row>,
-    deletes: Vec<Row>,
-}
-
-impl TableWrites {
-    /// Fold one statement's change in. A delete first cancels against the
-    /// transaction's own pending inserts (deleting a row you inserted in
-    /// this transaction leaves no trace), so the surviving delete list
-    /// always refers to rows of the pinned base version.
-    fn fold(&mut self, inserts: Vec<Row>, deletes: Vec<Row>) {
-        for d in deletes {
-            if let Some(pos) = self.inserts.iter().position(|r| *r == d) {
-                self.inserts.remove(pos);
-            } else {
-                self.deletes.push(d);
-            }
-        }
-        self.inserts.extend(inserts);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
-    }
-}
-
 /// A [`dt_exec::TableProvider`] view of "the pinned snapshot plus this
-/// transaction's buffered writes": base rows minus buffered deletes plus
-/// buffered inserts. This is what gives DML statements inside a
-/// transaction read-your-own-writes without publishing anything.
+/// transaction's buffered writes": for every table the transaction wrote,
+/// the pinned version minus its deleted positions plus its own inserts
+/// (a [`TableView`]); every other table reads straight from the snapshot.
+/// This is what gives statements inside a transaction
+/// read-your-own-writes without publishing anything, and the batch path
+/// keeps zone-map pruning: no table is materialised as rows to overlay it.
 struct OverlayProvider<'a> {
     snap: &'a ReadSnapshot,
     writes: &'a BTreeMap<EntityId, TableWrites>,
 }
 
+impl OverlayProvider<'_> {
+    fn view(&self, entity: EntityId) -> DtResult<Option<TableView<'_>>> {
+        let Some(w) = self.writes.get(&entity) else {
+            return Ok(None);
+        };
+        Ok(Some(TableView {
+            base: self.snap.table_snapshot(entity)?,
+            writes: Some(w),
+        }))
+    }
+}
+
 impl TableProvider for OverlayProvider<'_> {
     fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
-        let mut rows = self.snap.scan(entity)?;
-        if let Some(w) = self.writes.get(&entity) {
-            for d in &w.deletes {
-                let pos = rows.iter().position(|r| r == d).ok_or_else(|| {
-                    DtError::internal(
-                        "buffered delete not present in the pinned base version",
-                    )
-                })?;
-                rows.remove(pos);
-            }
-            rows.extend(w.inserts.iter().cloned());
+        match self.view(entity)? {
+            Some(view) => Ok(dt_exec::batch::flatten(view.scan_batches(None))),
+            None => self.snap.scan(entity),
         }
-        Ok(rows)
+    }
+
+    fn scan_batches(
+        &self,
+        entity: EntityId,
+        filter: Option<&PredicateSet>,
+    ) -> DtResult<Vec<Batch>> {
+        match self.view(entity)? {
+            Some(view) => Ok(view.scan_batches(filter)),
+            None => self.snap.scan_batches(entity, filter),
+        }
     }
 }
 
@@ -169,8 +166,11 @@ impl DmlSource for TxnDmlSource<'_> {
         dt_exec::execute(&dt_plan::push_down_filters(plan), &self.overlay())
     }
 
-    fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>> {
-        self.overlay().scan(id)
+    fn target_view(&self, id: EntityId) -> DtResult<TableView<'_>> {
+        Ok(TableView {
+            base: self.snap.table_snapshot(id)?,
+            writes: self.writes.get(&id),
+        })
     }
 }
 
@@ -371,11 +371,10 @@ impl Transaction {
         } else {
             out.plan.bind_params(params)?
         };
-        let provider = OverlayProvider {
-            snap: &self.snapshot,
-            writes: &self.writes,
-        };
-        let rows = dt_exec::execute(&dt_plan::push_down_filters(&plan), &provider)?;
+        let rows = dt_exec::execute(
+            &dt_plan::push_down_filters(&plan),
+            &self.dml_source().overlay(),
+        )?;
         Ok(QueryResult::new(plan.schema(), rows))
     }
 
@@ -426,16 +425,21 @@ impl Transaction {
     }
 
     fn buffer(&mut self, change: DmlChange) -> ExecResult {
-        let slot = self.writes.entry(change.entity).or_default();
-        slot.fold(change.inserts, change.deletes);
+        let (entity, count) = (change.entity, change.count);
+        debug_assert!(
+            change.base.is_none() || change.base == self.snapshot.version_of(entity),
+            "positions must be resolved against the pinned version"
+        );
+        let slot = self.writes.entry(entity).or_default();
+        slot.fold(change);
         if slot.is_empty() {
             // A statement whose effect nets to zero against this
             // transaction's own pending writes leaves no write-set entry
             // (and therefore takes no lock and validates nothing at
             // commit).
-            self.writes.remove(&change.entity);
+            self.writes.remove(&entity);
         }
-        ExecResult::Count(change.count)
+        ExecResult::Count(count)
     }
 
     /// Commit: apply the whole write set atomically at one HLC commit
@@ -528,10 +532,11 @@ impl Transaction {
                 // by construction, a stale snapshot — the writer it waited
                 // for installed a newer version. The held admission lock
                 // pins `latest` (no one else can move it), so a pure-insert
-                // write set commutes and can simply re-base; rebasing would
-                // silently misapply deletes/updates planned against rows
-                // that may have changed, so those surface a conflict that
-                // points at `SELECT ... FOR UPDATE`.
+                // write set commutes and can simply re-base. Deletes cannot:
+                // they are positions in the pinned version, meaningless in
+                // any other, and the rows they named may have changed — so
+                // those surface a conflict that points at
+                // `SELECT ... FOR UPDATE`.
                 if modes.get(&id) == Some(&dt_txn::LockMode::Pessimistic) {
                     let latest = store.latest_version();
                     if latest != base {
@@ -546,7 +551,11 @@ impl Transaction {
                         }
                     }
                 }
-                let p = store.prepare_change_at(base, w.inserts, w.deletes)?;
+                let p = store.prepare_change_at(
+                    base,
+                    w.inserts,
+                    w.deletes.into_iter().collect(),
+                )?;
                 Ok::<_, DtError>((id, store, p))
             })();
             match prep {
@@ -924,5 +933,66 @@ mod tests {
         assert_eq!(txn.pending_changes(), 0);
         assert!(txn.touched_tables().is_empty());
         txn.commit().unwrap();
+    }
+
+    #[test]
+    fn large_deletes_and_reads_inside_a_transaction_stay_linear() {
+        // Delete-all, partial delete and re-insert over 20k rows in one
+        // transaction. Buffered deletes are positions masked in one pass,
+        // so every in-transaction read is linear in the table (a
+        // per-delete search over the rows would be quadratic here).
+        const N: i64 = 20_000;
+        let engine = Engine::new(DbConfig::default());
+        let session = engine.session();
+        session.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+        for chunk in (0..N).collect::<Vec<_>>().chunks(2_000) {
+            let rows: Vec<String> = chunk.iter().map(|k| format!("({k}, {})", k % 7)).collect();
+            session
+                .execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        let count = |txn: &Transaction, sql: &str| -> i64 {
+            txn.query(sql).unwrap().rows()[0].get(0).expect_int().unwrap()
+        };
+        let mut txn = session.begin();
+
+        // Partial delete: a third of the rows.
+        let deleted = N / 3 + 1;
+        assert!(matches!(
+            txn.execute("DELETE FROM t WHERE k % 3 = 0").unwrap(),
+            ExecResult::Count(n) if n as i64 == deleted
+        ));
+        assert_eq!(count(&txn, "SELECT count(*) FROM t"), N - deleted);
+        assert_eq!(count(&txn, "SELECT count(*) FROM t WHERE k < 30"), 20);
+        assert_eq!(count(&txn, "SELECT count(*) FROM t WHERE k % 3 = 0"), 0);
+
+        // Re-insert some deleted keys: visible next to the survivors.
+        txn.execute("INSERT INTO t VALUES (0, 100), (3, 100), (6, 100)")
+            .unwrap();
+        assert_eq!(count(&txn, "SELECT count(*) FROM t"), N - deleted + 3);
+        assert_eq!(count(&txn, "SELECT count(*) FROM t WHERE k < 30"), 23);
+        assert_eq!(count(&txn, "SELECT count(*) FROM t WHERE v = 100"), 3);
+
+        // Delete everything, own inserts included, then insert afresh.
+        assert!(matches!(
+            txn.execute("DELETE FROM t").unwrap(),
+            ExecResult::Count(n) if n as i64 == N - deleted + 3
+        ));
+        assert_eq!(count(&txn, "SELECT count(*) FROM t"), 0);
+        txn.execute("INSERT INTO t VALUES (1, 1), (2, 2)").unwrap();
+        assert_eq!(count(&txn, "SELECT count(*) FROM t"), 2);
+        assert_eq!(count(&txn, "SELECT count(*) FROM t WHERE k = 2"), 1);
+        assert_eq!(txn.pending_changes(), N as usize + 2);
+
+        // Outside the transaction nothing moved until commit.
+        assert_eq!(
+            session.query("SELECT count(*) FROM t").unwrap().rows()[0].get(0),
+            &dt_common::Value::Int(N)
+        );
+        txn.commit().unwrap();
+        assert_eq!(
+            session.query_sorted("SELECT k, v FROM t").unwrap(),
+            vec![dt_common::row!(1i64, 1i64), dt_common::row!(2i64, 2i64)]
+        );
     }
 }

@@ -201,8 +201,10 @@ impl Mask {
 }
 
 /// Narrow `batch`'s selection to rows where `predicate` is true, with the
-/// row interpreter's exact result *and error* semantics.
-fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
+/// row interpreter's exact result *and error* semantics: rows are visited
+/// in physical order, and an error surfaces for the same first row the
+/// row interpreter would fail on.
+pub fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
     let mut conjuncts = Vec::new();
     split_conjuncts(predicate, &mut conjuncts);
 
@@ -257,6 +259,18 @@ fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
     }
     batch.set_selection(Some(keep));
     Ok(())
+}
+
+/// True when every conjunct of `predicate` evaluates vectorized over
+/// batches of `arity` columns. Such a predicate is provably error-free, so
+/// skipping rows without evaluating it (zone-map pruning) can never hide
+/// an error the row interpreter would raise on them.
+pub fn vectorizes(predicate: &ScalarExpr, arity: usize) -> bool {
+    let empty = Arc::new(ColumnVec::from_values(Vec::new()));
+    let probe = Batch::new(vec![empty; arity], 0);
+    let mut conjuncts = Vec::new();
+    split_conjuncts(predicate, &mut conjuncts);
+    conjuncts.iter().all(|c| vector_mask(c, &probe).is_some())
 }
 
 fn split_conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
@@ -608,6 +622,26 @@ mod tests {
         let mut bad = int_batch(&[Some(1), Some(3)]);
         let err = filter_batch(&mut bad, &and(col_gt(0, 2), div));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn vectorizes_tells_error_free_predicates_apart() {
+        let div = ScalarExpr::Binary {
+            left: Box::new(ScalarExpr::lit(1i64)),
+            op: BinOp::Div,
+            right: Box::new(ScalarExpr::col(0)),
+        };
+        let and = |l: ScalarExpr, r: ScalarExpr| ScalarExpr::Binary {
+            left: Box::new(l),
+            op: BinOp::And,
+            right: Box::new(r),
+        };
+        assert!(vectorizes(&col_gt(0, 2), 1));
+        assert!(vectorizes(&and(col_gt(0, 2), ScalarExpr::Not(Box::new(col_gt(0, 5)))), 1));
+        // An arithmetic conjunct anywhere can error.
+        assert!(!vectorizes(&and(col_gt(0, 2), div), 1));
+        // A column outside the batch is not vectorized either.
+        assert!(!vectorizes(&col_gt(3, 2), 1));
     }
 
     #[test]

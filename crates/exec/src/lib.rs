@@ -30,5 +30,5 @@ pub mod executor;
 pub mod join;
 pub mod window;
 
-pub use batch::execute_batches;
+pub use batch::{execute_batches, filter_batch, vectorizes};
 pub use executor::{execute, execute_rows, execute_sorted, MapProvider, TableProvider};

@@ -213,9 +213,8 @@ mod tests {
                 TxnId(1),
             )
             .unwrap();
-        let prep = t
-            .prepare_change_at(v1, vec![row!(9i64)], vec![row!(2i64)])
-            .unwrap();
+        let doomed = t.locate(v1, &[row!(2i64)]).unwrap();
+        let prep = t.prepare_change_at(v1, vec![row!(9i64)], doomed).unwrap();
         let rec = prep.install_record();
 
         // Encode/decode the record like the WAL would.

@@ -29,6 +29,11 @@
 //!   first-committer-wins substrate of the engine's transaction commits,
 //!   which lets a multi-table transaction install every touched table's
 //!   version at one commit timestamp.
+//! * **Positional deletes** ([`table::RowPos`]): a change removes rows by
+//!   `(partition, offset)` position in its base version, so only the
+//!   partitions it names are rewritten copy-on-write and no row is ever
+//!   hashed to find it. Callers that know only the values to delete
+//!   resolve them with [`table::TableStore::locate`].
 
 pub mod change;
 pub mod durable;
@@ -42,6 +47,6 @@ pub use change::{ChangeSet, RowDelta};
 pub use durable::{StoreCheckpoint, VersionInstallRecord};
 pub use partition::{ColumnarPartition, Partition};
 pub use snapshot::TableSnapshot;
-pub use table::{CommitGuard, PreparedChange, TableStore, DEFAULT_PARTITION_CAPACITY};
+pub use table::{CommitGuard, PreparedChange, RowPos, TableStore, DEFAULT_PARTITION_CAPACITY};
 pub use telemetry::zone_map_pruned_total;
 pub use version::TableVersion;

@@ -15,6 +15,61 @@ use crate::partition::Partition;
 use crate::snapshot::TableSnapshot;
 use crate::version::TableVersion;
 
+/// The physical position of one row in a table version: the
+/// micro-partition holding it and the row's offset inside that partition.
+/// Partitions are immutable, so a position resolved against a version
+/// names the same row for as long as that version exists — and means
+/// nothing against any other version. DML therefore only ever applies
+/// positions to the version they were resolved on
+/// ([`TableStore::prepare_change_at`]'s `base`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RowPos {
+    /// The partition holding the row.
+    pub partition: PartitionId,
+    /// The row's index inside the partition.
+    pub offset: usize,
+}
+
+impl std::fmt::Display for RowPos {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}+{}", self.partition, self.offset)
+    }
+}
+
+/// [`TableStore::locate`] over already pinned partitions.
+fn locate_in(parts: &[Arc<Partition>], rows: &[Row]) -> DtResult<Vec<RowPos>> {
+    let mut out = Vec::with_capacity(rows.len());
+    if rows.is_empty() {
+        return Ok(out);
+    }
+    let mut wanted: HashMap<&Row, usize> = HashMap::with_capacity(rows.len());
+    for r in rows {
+        *wanted.entry(r).or_insert(0) += 1;
+    }
+    let mut missing = rows.len();
+    'scan: for part in parts {
+        for (offset, r) in part.rows().iter().enumerate() {
+            if let Some(n) = wanted.get_mut(r).filter(|n| **n > 0) {
+                *n -= 1;
+                out.push(RowPos {
+                    partition: part.id(),
+                    offset,
+                });
+                missing -= 1;
+                if missing == 0 {
+                    break 'scan;
+                }
+            }
+        }
+    }
+    if missing > 0 {
+        return Err(DtError::Storage(format!(
+            "{missing} row(s) to delete were not found"
+        )));
+    }
+    Ok(out)
+}
+
 /// Default number of rows per micro-partition.
 pub const DEFAULT_PARTITION_CAPACITY: usize = 4096;
 
@@ -424,53 +479,72 @@ impl TableStore {
         Ok(())
     }
 
-    /// The row work of a change commit: apply `deletes` to `prev_parts`
-    /// copy-on-write and mint partitions for `inserts`. Takes **no lock**
-    /// at all — callers either hold `commit_lock` (the classic
-    /// [`TableStore::commit_change`]) or run against a pinned base version
-    /// whose stability is validated at install time (the optimistic
-    /// transaction path, [`TableStore::prepare_change_at`]).
+    /// The row work of a change commit — the one build path every DML
+    /// change takes: remove the rows at `deletes` (positions in the
+    /// version `base_parts` belongs to) and mint partitions for `inserts`.
+    /// Only the partitions a position names are rewritten copy-on-write;
+    /// every other partition is carried over by id and no row is hashed.
+    /// Takes **no lock** — callers either hold `commit_lock`
+    /// ([`TableStore::commit_change`]) or run against a pinned base
+    /// version whose stability is validated at install time
+    /// ([`TableStore::prepare_change_at`]).
+    ///
+    /// Rejects, with a typed storage error, a position naming a partition
+    /// the base version does not hold, an offset past its partition's end,
+    /// and a position listed twice.
     fn build_change(
         &self,
-        prev_parts: &[Arc<Partition>],
+        base_parts: &[Arc<Partition>],
         inserts: Vec<Row>,
-        deletes: &[Row],
+        mut deletes: Vec<RowPos>,
     ) -> DtResult<ChangeBuild> {
-        // Multiset of rows still to delete.
-        let mut to_delete: HashMap<Row, usize> = HashMap::new();
-        for r in deletes {
-            *to_delete.entry(r.clone()).or_insert(0) += 1;
+        deletes.sort_unstable();
+        if let Some(w) = deletes.windows(2).find(|w| w[0] == w[1]) {
+            return Err(DtError::Storage(format!(
+                "row position {} is deleted twice",
+                w[0]
+            )));
+        }
+        // Sorted positions group by partition with ascending offsets.
+        let mut doomed: HashMap<PartitionId, Vec<usize>> = HashMap::new();
+        for pos in &deletes {
+            doomed.entry(pos.partition).or_default().push(pos.offset);
         }
 
-        let mut kept: Vec<PartitionId> = Vec::with_capacity(prev_parts.len() + 1);
+        let mut kept: Vec<PartitionId> = Vec::with_capacity(base_parts.len() + 1);
         let mut added: Vec<PartitionId> = Vec::new();
         let mut removed: Vec<PartitionId> = Vec::new();
         let mut new_parts: Vec<Arc<Partition>> = Vec::new();
         let mut row_count = 0usize;
-        let mut missing = deletes.len();
 
-        for part in prev_parts {
-            let touches = !to_delete.is_empty()
-                && part.rows().iter().any(|r| {
-                    to_delete
-                        .get(r)
-                        .map(|n| *n > 0)
-                        .unwrap_or(false)
-                });
-            if !touches {
+        for part in base_parts {
+            let offsets = if doomed.is_empty() {
+                None
+            } else {
+                doomed.remove(&part.id())
+            };
+            let Some(offsets) = offsets else {
                 kept.push(part.id());
                 row_count += part.len();
                 continue;
+            };
+            let last = *offsets.last().expect("grouped offsets are non-empty");
+            if last >= part.len() {
+                return Err(DtError::Storage(format!(
+                    "row position {} is past the end of a {}-row partition",
+                    RowPos {
+                        partition: part.id(),
+                        offset: last
+                    },
+                    part.len()
+                )));
             }
             // Copy-on-write rewrite of this partition.
-            let mut survivors = Vec::with_capacity(part.len());
-            for r in part.rows() {
-                match to_delete.get_mut(r) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        missing -= 1;
-                    }
-                    _ => survivors.push(r.clone()),
+            let mut doomed_offsets = offsets.iter().copied().peekable();
+            let mut survivors = Vec::with_capacity(part.len() - offsets.len());
+            for (offset, r) in part.rows().iter().enumerate() {
+                if doomed_offsets.next_if_eq(&offset).is_none() {
+                    survivors.push(r.clone());
                 }
             }
             removed.push(part.id());
@@ -484,9 +558,9 @@ impl TableStore {
             }
         }
 
-        if missing > 0 {
+        if let Some(pid) = doomed.keys().min() {
             return Err(DtError::Storage(format!(
-                "{missing} row(s) to delete were not found"
+                "row position names partition {pid}, which the base version does not hold"
             )));
         }
 
@@ -508,8 +582,24 @@ impl TableStore {
         })
     }
 
-    /// Apply a DML change: insert `inserts` and delete one occurrence of
-    /// each row in `deletes` (multiset delete by value). Partitions touched
+    /// Resolve rows to positions in version `base`: one occurrence per
+    /// listed row (multiset semantics — a row listed twice claims two
+    /// equal rows), earliest occurrences in scan order first. The bridge
+    /// for callers that know *which values* to delete but not where they
+    /// live — the IVM merge and [`TableStore::commit_change`] — into the
+    /// positional build path. One pass over the version that stops as soon
+    /// as every row is found; a row with no unclaimed occurrence is a
+    /// storage error.
+    pub fn locate(&self, base: VersionId, rows: &[Row]) -> DtResult<Vec<RowPos>> {
+        if rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        locate_in(self.snapshot(base)?.partitions(), rows)
+    }
+
+    /// Apply a DML change to the latest version: insert `inserts` and
+    /// delete one occurrence of each row in `deletes` (multiset delete by
+    /// value, resolved through [`TableStore::locate`]). Partitions touched
     /// by deletes are rewritten copy-on-write; untouched partitions are
     /// carried over. Returns the new version.
     pub fn commit_change(
@@ -522,11 +612,12 @@ impl TableStore {
         self.check_rows(&inserts)?;
         self.check_rows(&deletes)?;
         let _commit = self.commit_lock.lock();
-        let (_prev, prev_parts) = self.pin_latest();
+        let base = self.snapshot_latest();
 
         // All row work happens here, outside the inner lock: readers keep
         // scanning (and pinning snapshots of) existing versions meanwhile.
-        let b = self.build_change(&prev_parts, inserts, &deletes)?;
+        let positions = locate_in(base.partitions(), &deletes)?;
+        let b = self.build_change(base.partitions(), inserts, positions)?;
         self.install_version(
             b.new_parts,
             commit_ts,
@@ -540,35 +631,24 @@ impl TableStore {
     }
 
     /// Phase one of an optimistic (transactional) commit: do **all** the
-    /// row work of a change against the pinned `base` version — COW delete
-    /// rewrites, partition minting — holding no lock whatsoever. The
-    /// returned [`PreparedChange`] is installed later with
+    /// row work of a change against the pinned `base` version — insert
+    /// `inserts`, remove the rows at `deletes` (positions in `base`, e.g.
+    /// from a scan of it or from [`TableStore::locate`]) — holding no lock
+    /// whatsoever. Only the partitions the positions name are rewritten.
+    /// The returned [`PreparedChange`] is installed later with
     /// [`TableStore::install_prepared`], which re-validates that `base` is
-    /// still the latest version (first committer wins). Between the two
-    /// phases, readers and writers of this table proceed undisturbed.
+    /// still the latest version (first committer wins) — which is also
+    /// what keeps the positions meaningful. Between the two phases,
+    /// readers and writers of this table proceed undisturbed.
     pub fn prepare_change_at(
         &self,
         base: VersionId,
         inserts: Vec<Row>,
-        deletes: Vec<Row>,
+        deletes: Vec<RowPos>,
     ) -> DtResult<PreparedChange> {
         self.check_rows(&inserts)?;
-        self.check_rows(&deletes)?;
-        let base_parts = {
-            let inner = self.inner.read();
-            let tv = inner
-                .versions
-                .get(base.raw() as usize)
-                .ok_or_else(|| DtError::Storage(format!("unknown version {base}")))?;
-            let mut parts = Vec::with_capacity(tv.partitions.len());
-            for pid in &tv.partitions {
-                parts.push(Arc::clone(inner.partitions.get(pid).ok_or_else(
-                    || DtError::Storage(format!("missing partition {pid}")),
-                )?));
-            }
-            parts
-        };
-        let build = self.build_change(&base_parts, inserts, &deletes)?;
+        let snap = self.snapshot(base)?;
+        let build = self.build_change(snap.partitions(), inserts, deletes)?;
         Ok(PreparedChange { base, build })
     }
 
@@ -1072,9 +1152,8 @@ mod tests {
         let v1 = t
             .commit_change(vec![row!(1i64), row!(2i64), row!(3i64)], vec![], ts(1), TxnId(1))
             .unwrap();
-        let prep = t
-            .prepare_change_at(v1, vec![row!(9i64)], vec![row!(2i64)])
-            .unwrap();
+        let doomed = t.locate(v1, &[row!(2i64)]).unwrap();
+        let prep = t.prepare_change_at(v1, vec![row!(9i64)], doomed).unwrap();
         assert_eq!(prep.base(), v1);
         assert_eq!(prep.row_count(), 3);
         let v2 = t.install_prepared(prep, ts(2), TxnId(2)).unwrap();
@@ -1130,10 +1209,8 @@ mod tests {
         let t = int_table(10);
         let v1 = t.commit_change(vec![row!(1i64)], vec![], ts(1), TxnId(1)).unwrap();
         t.commit_change(vec![row!(2i64)], vec![], ts(2), TxnId(2)).unwrap();
-        // Deleting row 2 against base v1 fails: v1 never contained it.
-        assert!(t
-            .prepare_change_at(v1, vec![], vec![row!(2i64)])
-            .is_err());
+        // Row 2 does not resolve against base v1: v1 never contained it.
+        assert!(t.locate(v1, &[row!(2i64)]).is_err());
     }
 
     #[test]
@@ -1197,5 +1274,98 @@ mod tests {
         let v3 = t.commit_change(vec![], vec![row!(5i64)], ts(3), TxnId(3)).unwrap();
         assert!(t.changes_between(v1, v3).unwrap().is_empty());
         assert!(t.unchanged_between(v1, v3).unwrap());
+    }
+
+    fn pos(partition: u64, offset: usize) -> RowPos {
+        RowPos {
+            partition: PartitionId(partition),
+            offset,
+        }
+    }
+
+    #[test]
+    fn positional_prepare_rewrites_only_touched_partitions() {
+        let t = int_table(2);
+        let v1 = t
+            .commit_change(
+                vec![row!(1i64), row!(2i64), row!(3i64), row!(4i64), row!(5i64)],
+                vec![],
+                ts(1),
+                TxnId(1),
+            )
+            .unwrap();
+        // Partitions p0 = [1, 2], p1 = [3, 4], p2 = [5]; delete 4.
+        let prep = t.prepare_change_at(v1, vec![], vec![pos(1, 1)]).unwrap();
+        let rec = prep.install_record();
+        assert_eq!(rec.removed, vec![PartitionId(1)]);
+        assert_eq!(rec.new_parts.len(), 1);
+        assert_eq!(rec.new_parts[0].1, vec![row!(3i64)]);
+        // Untouched partitions are carried by id, in version order, with
+        // the rewrite taking the touched partition's place.
+        assert_eq!(
+            rec.partitions,
+            vec![PartitionId(0), rec.new_parts[0].0, PartitionId(2)]
+        );
+        let v2 = t.install_prepared(prep, ts(2), TxnId(2)).unwrap();
+        let mut rows = t.scan(v2).unwrap();
+        rows.sort();
+        assert_eq!(rows, vec![row!(1i64), row!(2i64), row!(3i64), row!(5i64)]);
+    }
+
+    #[test]
+    fn positional_prepare_rejects_bad_positions_with_typed_errors() {
+        let t = int_table(2);
+        let v1 = t
+            .commit_change(vec![row!(1i64), row!(2i64), row!(3i64)], vec![], ts(1), TxnId(1))
+            .unwrap();
+        let bad = [
+            // A partition the base version does not hold.
+            vec![pos(77, 0)],
+            // An offset past the end of its (1-row tail) partition.
+            vec![pos(1, 1)],
+            // The same position twice.
+            vec![pos(0, 1), pos(0, 1)],
+        ];
+        for deletes in bad {
+            let err = t.prepare_change_at(v1, vec![], deletes.clone()).unwrap_err();
+            assert!(matches!(err, DtError::Storage(_)), "{deletes:?}: got {err:?}");
+        }
+        // A partition that existed once but was rewritten away is unknown
+        // to the newer version.
+        let v2 = t.commit_change(vec![], vec![row!(1i64)], ts(2), TxnId(2)).unwrap();
+        let err = t.prepare_change_at(v2, vec![], vec![pos(0, 0)]).unwrap_err();
+        assert!(matches!(err, DtError::Storage(_)), "got {err:?}");
+        // Nothing was installed by the rejected changes.
+        assert_eq!(t.latest_version(), v2);
+    }
+
+    #[test]
+    fn locate_keeps_multiset_semantics() {
+        let t = int_table(2);
+        let v1 = t
+            .commit_change(
+                vec![row!(7i64), row!(8i64), row!(7i64), row!(7i64)],
+                vec![],
+                ts(1),
+                TxnId(1),
+            )
+            .unwrap();
+        // Two 7s claim the two earliest occurrences, in scan order.
+        assert_eq!(
+            t.locate(v1, &[row!(7i64), row!(7i64)]).unwrap(),
+            vec![pos(0, 0), pos(1, 0)]
+        );
+        // Three 7s exist; a fourth does not.
+        assert_eq!(t.locate(v1, &vec![row!(7i64); 3]).unwrap().len(), 3);
+        let err = t.locate(v1, &vec![row!(7i64); 4]).unwrap_err();
+        assert!(matches!(err, DtError::Storage(_)), "got {err:?}");
+        // Deleting through the located positions removes exactly one copy
+        // per listed row.
+        let doomed = t.locate(v1, &[row!(7i64), row!(8i64)]).unwrap();
+        let prep = t.prepare_change_at(v1, vec![], doomed).unwrap();
+        let v2 = t.install_prepared(prep, ts(2), TxnId(2)).unwrap();
+        let mut rows = t.scan(v2).unwrap();
+        rows.sort();
+        assert_eq!(rows, vec![row!(7i64), row!(7i64)]);
     }
 }
