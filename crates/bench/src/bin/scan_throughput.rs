@@ -178,14 +178,22 @@ fn run_dml_point(engine: &Engine, rows: usize, iters: usize, round: usize) -> [D
         let t0 = Instant::now();
         let out = session.execute(&sql).unwrap();
         let us = t0.elapsed().as_micros() as u64;
-        assert!(matches!(out, ExecResult::Count(1)), "{sql} did not touch exactly one row");
+        assert!(
+            matches!(out, ExecResult::Count(1)),
+            "{sql} did not touch exactly one row"
+        );
         us
     };
     let (mut update, mut delete) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
     for i in 0..iters {
         let key = 2 * i * gap + round;
-        update.push(run(format!("UPDATE scan_bench SET v = v + 1 WHERE k = {key}")));
-        delete.push(run(format!("DELETE FROM scan_bench WHERE k = {}", key + gap)));
+        update.push(run(format!(
+            "UPDATE scan_bench SET v = v + 1 WHERE k = {key}"
+        )));
+        delete.push(run(format!(
+            "DELETE FROM scan_bench WHERE k = {}",
+            key + gap
+        )));
     }
     let report = |stmt, mut lat: Vec<u64>| {
         lat.sort_unstable();

@@ -54,8 +54,8 @@ pub(crate) trait DmlSource {
 pub(crate) struct DmlChange {
     /// The target base table.
     pub entity: EntityId,
-    /// The table version `deletes` are positions in (`None` when the
-    /// statement matched nothing, e.g. an INSERT).
+    /// The table version `deletes` are positions in (`None` for an
+    /// INSERT, which matches no rows).
     pub base: Option<VersionId>,
     /// Rows the statement adds.
     pub inserts: Vec<Row>,
@@ -142,14 +142,19 @@ enum Origin {
 }
 
 impl TableView<'_> {
-    /// The view as columnar batches, in scan order, each tagged with its
-    /// origin: every base partition that survives `filter`'s zone-map
-    /// check (with the filter applied and deleted positions deselected),
-    /// then the own inserts (filtered row-equivalently). Sequential by
-    /// design: a point statement touches a handful of partitions, and a
-    /// thread fan-out per statement would cost more than the scan.
-    fn batches(&self, filter: Option<&PredicateSet>) -> Vec<(Origin, Batch)> {
-        let mut out = Vec::new();
+    /// Visit the view as columnar batches, in scan order, each tagged
+    /// with its origin: every base partition that survives `filter`'s
+    /// zone-map check (with the filter applied and deleted positions
+    /// deselected), then the own inserts (filtered row-equivalently).
+    /// Each batch is handed over as soon as it is cut, while its
+    /// partition is still in cache. Sequential by design: a point
+    /// statement touches a handful of partitions, and a thread fan-out per
+    /// statement would cost more than the scan.
+    fn for_each_batch(
+        &self,
+        filter: Option<&PredicateSet>,
+        mut visit: impl FnMut(Origin, Batch) -> DtResult<()>,
+    ) -> DtResult<()> {
         for (i, part) in self.base.partitions().iter().enumerate() {
             let Some(mut batch) = self.base.partition_batch(i, filter) else {
                 continue;
@@ -164,21 +169,26 @@ impl TableView<'_> {
                     batch.retain(&keep);
                 }
             }
-            out.push((Origin::Base(i), batch));
+            visit(Origin::Base(i), batch)?;
         }
         if let Some(w) = self.writes.filter(|w| !w.inserts.is_empty()) {
             let mut batch = Batch::from_rows(self.base.schema().len(), &w.inserts);
             if let Some(f) = filter {
                 f.apply(&mut batch);
             }
-            out.push((Origin::Own, batch));
+            visit(Origin::Own, batch)?;
         }
-        out
+        Ok(())
     }
 
-    /// The view as columnar batches (see [`TableView::batches`]).
-    pub fn scan_batches(&self, filter: Option<&PredicateSet>) -> Vec<Batch> {
-        self.batches(filter).into_iter().map(|(_, b)| b).collect()
+    /// The view as columnar batches (see [`TableView::for_each_batch`]).
+    pub fn scan_batches(&self, filter: Option<&PredicateSet>) -> DtResult<Vec<Batch>> {
+        let mut out = Vec::new();
+        self.for_each_batch(filter, |_, batch| {
+            out.push(batch);
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 
@@ -306,7 +316,7 @@ fn match_rows(
         Some(p) => split_predicate(src, id, view.base.schema().len(), p, params)?,
     };
     let mut m = Matches::default();
-    for (origin, mut batch) in view.batches(pushdown.as_ref()) {
+    view.for_each_batch(pushdown.as_ref(), |origin, mut batch| {
         if let Some(r) = &residual {
             dt_exec::filter_batch(&mut batch, r)?;
         }
@@ -330,7 +340,8 @@ fn match_rows(
                 m.own = live;
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(m)
 }
 

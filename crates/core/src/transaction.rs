@@ -109,7 +109,7 @@ impl OverlayProvider<'_> {
 impl TableProvider for OverlayProvider<'_> {
     fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
         match self.view(entity)? {
-            Some(view) => Ok(dt_exec::batch::flatten(view.scan_batches(None))),
+            Some(view) => Ok(dt_exec::batch::flatten(view.scan_batches(None)?)),
             None => self.snap.scan(entity),
         }
     }
@@ -120,7 +120,7 @@ impl TableProvider for OverlayProvider<'_> {
         filter: Option<&PredicateSet>,
     ) -> DtResult<Vec<Batch>> {
         match self.view(entity)? {
-            Some(view) => Ok(view.scan_batches(filter)),
+            Some(view) => view.scan_batches(filter),
             None => self.snap.scan_batches(entity, filter),
         }
     }
@@ -551,11 +551,8 @@ impl Transaction {
                         }
                     }
                 }
-                let p = store.prepare_change_at(
-                    base,
-                    w.inserts,
-                    w.deletes.into_iter().collect(),
-                )?;
+                let p =
+                    store.prepare_change_at(base, w.inserts, w.deletes.into_iter().collect())?;
                 Ok::<_, DtError>((id, store, p))
             })();
             match prep {

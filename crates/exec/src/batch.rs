@@ -637,7 +637,10 @@ mod tests {
             right: Box::new(r),
         };
         assert!(vectorizes(&col_gt(0, 2), 1));
-        assert!(vectorizes(&and(col_gt(0, 2), ScalarExpr::Not(Box::new(col_gt(0, 5)))), 1));
+        assert!(vectorizes(
+            &and(col_gt(0, 2), ScalarExpr::Not(Box::new(col_gt(0, 5)))),
+            1
+        ));
         // An arithmetic conjunct anywhere can error.
         assert!(!vectorizes(&and(col_gt(0, 2), div), 1));
         // A column outside the batch is not vectorized either.
