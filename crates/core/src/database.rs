@@ -960,9 +960,9 @@ impl EngineState {
 }
 
 /// DML planned against the latest state under the engine write lock (the
-/// engine-lock auto-commit path: the `Database` shim and callers that
-/// already hold the engine write lock). Transactions plan against their
-/// pinned snapshot instead — see [`crate::Transaction`].
+/// engine-lock auto-commit path for callers that already hold the engine
+/// write lock). Transactions plan against their pinned snapshot instead —
+/// see [`crate::Transaction`].
 impl DmlSource for EngineState {
     fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
         self.base_table(name)

@@ -217,8 +217,8 @@ pub(crate) enum WalRecord {
         tables: Vec<(EntityId, VersionInstallRecord)>,
     },
     /// One installed DT refresh. The storage install carries its own
-    /// stamp: the serial path stamps storage and the refresh map
-    /// differently (§5.3), and replay must reproduce both exactly.
+    /// stamp; refreshes stamp storage and the refresh map alike, but
+    /// replay takes both from the record as written.
     Refresh {
         dt: EntityId,
         txn: TxnId,
@@ -386,34 +386,6 @@ impl WalRecord {
     }
 }
 
-/// A refresh's WAL payload, staged before the caller's final catalog
-/// mutations (success counters) so the record can carry the *post*-update
-/// catalog image.
-pub(crate) struct PendingRefreshWal {
-    pub(crate) dt: EntityId,
-    pub(crate) txn: TxnId,
-    pub(crate) refresh_ts: Timestamp,
-    pub(crate) commit_ts: Timestamp,
-    pub(crate) install: Option<(Timestamp, VersionInstallRecord)>,
-    pub(crate) version: VersionId,
-    pub(crate) frontier: Frontier,
-}
-
-impl PendingRefreshWal {
-    pub(crate) fn into_record(self, catalog: Vec<u8>) -> WalRecord {
-        WalRecord::Refresh {
-            dt: self.dt,
-            txn: self.txn,
-            refresh_ts: self.refresh_ts,
-            commit_ts: self.commit_ts,
-            install: self.install,
-            version: self.version,
-            frontier: self.frontier.iter().collect(),
-            catalog,
-        }
-    }
-}
-
 /// One entity's frontier in a checkpoint image:
 /// `(entity, refresh_ts, sorted source versions)`.
 type FrontierEntry = (EntityId, Timestamp, Vec<(EntityId, VersionId)>);
@@ -556,13 +528,18 @@ impl EngineState {
         if self.wal.is_none() {
             return Ok(());
         }
-        let record = WalRecord::Catalog {
+        self.wal_append(&[self.catalog_record(side_effect)])
+    }
+
+    /// The current catalog + engine-meta image as a WAL record, stamped
+    /// with a fresh HLC tick.
+    pub(crate) fn catalog_record(&self, side_effect: SideEffect) -> WalRecord {
+        WalRecord::Catalog {
             stamp: self.txn.hlc().tick(),
             catalog: self.catalog.to_bytes(),
             meta: self.engine_meta(),
             side_effect,
-        };
-        self.wal_append(&[record])
+        }
     }
 
     pub(crate) fn engine_meta(&self) -> EngineMeta {

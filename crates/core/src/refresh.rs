@@ -1,17 +1,33 @@
 //! The refresh engine (§5.3–§5.5): action selection, differentiation,
 //! merge, commit, and the production validations.
 //!
-//! Since PR 8 the row work of a refresh is split from its installation,
-//! mirroring the optimistic transaction commit
-//! ([`dt_storage::TableStore::prepare_change_at`] /
-//! [`dt_storage::CommitGuard`]): `compute_refresh` runs against a pinned
-//! `RefreshEnv` holding **no engine lock** and returns a
-//! [`dt_storage::PreparedChange`]; only the O(metadata) install serializes.
-//! The serial path ([`EngineState::run_refresh`]) and the parallel round
-//! driver ([`crate::Engine::refresh_all_parallel`]) share this core.
+//! Every refresh — scheduled, manual, initial, or part of a parallel
+//! round — takes one pipeline with one error classification and one
+//! bookkeeping path:
+//!
+//! 1. **Stage** (`EngineState::stage_refresh`, under any engine lock):
+//!    resolve the DT, take its refresh lock, rebind the defining query,
+//!    detect query evolution, and pin a `RefreshEnv` of `Arc` handles.
+//! 2. **Compute** (`RefreshJob::compute`, no engine lock needed): decide
+//!    the action, evaluate or differentiate, and stage the result as a
+//!    [`dt_storage::PreparedChange`] against the DT's pinned version.
+//! 3. **Install** (`install_one`, under the engine write lock): validate
+//!    and publish the change, advance the frontier and refresh map, log
+//!    the refresh, and emit its WAL records.
+//!
+//! [`EngineState::run_refresh`] drives the three steps back to back under
+//! the write lock its caller holds; [`crate::Engine::refresh_all_parallel`]
+//! stages under a read lock, computes lock-free, and installs a level per
+//! write-lock acquisition. A binding or evaluation failure is a user error
+//! at either step: it is logged as a `failed` refresh and counts toward
+//! automatic suspension (§3.3.3). A dropped upstream is such an error, so
+//! `UNDROP` alone lets the next refresh succeed. Reporting the outcome to
+//! the scheduler is the caller's job: serial callers report at virtual
+//! completion time, the parallel install leader as it installs.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
 use dt_catalog::RefreshMode;
 use dt_common::{DtError, DtResult, EntityId, Row, Timestamp, Value, VersionId};
@@ -23,9 +39,10 @@ use dt_ivm::{
 use dt_plan::LogicalPlan;
 use dt_scheduler::{CostModel, RefreshAction, RefreshOutcome};
 use dt_storage::{ChangeSet, PreparedChange, TableStore};
-use dt_txn::{Frontier, RefreshTsMap};
+use dt_txn::{Frontier, RefreshTsMap, Txn};
 
 use crate::database::EngineState;
+use crate::durability::{SideEffect, WalRecord};
 use crate::providers::{strip_row_ids, SnapshotProvider, StorageView, VersionSemantics};
 
 /// One executed refresh, for telemetry and the §6.3 statistics. `Copy`:
@@ -133,19 +150,19 @@ impl ChangeProvider for IntervalChanges {
 /// the write-side analogue of [`crate::ReadSnapshot`]. Versioned stores
 /// never mutate in place, so a worker reading through these handles sees a
 /// stable world no matter what commits land meanwhile.
-pub(crate) struct RefreshEnv {
+struct RefreshEnv {
     /// Storage handles for the DT and every scanned source.
-    pub(crate) tables: HashMap<EntityId, Arc<TableStore>>,
+    tables: HashMap<EntityId, Arc<TableStore>>,
     /// Which of those entities are DTs (their storage carries `$ROW_ID`).
-    pub(crate) dt_ids: BTreeSet<EntityId>,
+    dt_ids: BTreeSet<EntityId>,
     /// The refresh-timestamp → version map (interior-mutable, `&self`).
-    pub(crate) refresh_map: Arc<RefreshTsMap>,
+    refresh_map: Arc<RefreshTsMap>,
     /// DT version resolution semantics (§3.1.1).
-    pub(crate) semantics: VersionSemantics,
+    semantics: VersionSemantics,
     /// Outer-join differentiation strategy (§5.5.1).
-    pub(crate) outer_join: OuterJoinStrategy,
+    outer_join: OuterJoinStrategy,
     /// The §3.3.2 cost model.
-    pub(crate) cost_model: CostModel,
+    cost_model: CostModel,
 }
 
 impl RefreshEnv {
@@ -188,20 +205,43 @@ impl RefreshEnv {
         let rows = dt_exec::execute(plan, &provider)?;
         Ok((rows, input_rows))
     }
+
+    /// §6.1 level-4 validation: "if you run the defining query as of the
+    /// data timestamp, you should get the same result as in the DT."
+    fn validate_dvs(
+        &self,
+        dt: EntityId,
+        refresh_ts: Timestamp,
+        plan: &LogicalPlan,
+    ) -> DtResult<()> {
+        let store = self.store(dt)?;
+        let mut stored = strip_row_ids(store.scan(store.latest_version())?);
+        stored.sort();
+        let (mut expected, _) = self.evaluate_at(plan, refresh_ts)?;
+        expected.sort();
+        if stored != expected {
+            return Err(DtError::internal(format!(
+                "DVS violation on {dt} at {refresh_ts}: stored {} rows != query {} rows",
+                stored.len(),
+                expected.len()
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// The output of [`compute_refresh`]: the staged storage change (if any),
 /// the outcome for the scheduler, and the frontier the DT will advance to
 /// once the change installs.
-pub(crate) struct ComputedRefresh {
+struct ComputedRefresh {
     /// Action + row/cost accounting, as the scheduler wants it reported.
-    pub(crate) outcome: RefreshOutcome,
+    outcome: RefreshOutcome,
     /// The staged storage change; `None` for NO_DATA (only metadata moves).
-    pub(crate) prep: Option<PreparedChange>,
+    prep: Option<PreparedChange>,
     /// Source rows scanned (see [`RefreshLogEntry::source_rows`]).
-    pub(crate) source_rows: usize,
+    source_rows: usize,
     /// The frontier the DT advances to at install.
-    pub(crate) new_frontier: Frontier,
+    new_frontier: Frontier,
 }
 
 /// The row work of one refresh, runnable with no engine lock held: decide
@@ -210,7 +250,7 @@ pub(crate) struct ComputedRefresh {
 /// losses surface earlier; evaluation errors surface here) propagate as
 /// `Err` for the caller to classify.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_refresh(
+fn compute_refresh(
     env: &RefreshEnv,
     dt: EntityId,
     refresh_ts: Timestamp,
@@ -404,12 +444,82 @@ pub(crate) fn compute_refresh(
     })
 }
 
+/// One refresh moving through the pipeline every refresh takes — staged by
+/// [`EngineState::stage_refresh`], computed by [`RefreshJob::compute`],
+/// installed by [`install_one`]. From stage to install the job's
+/// transaction holds the DT's refresh lock (§5.3); whoever drops a job
+/// without installing it must abort that transaction.
+pub(crate) struct RefreshJob {
+    pub(crate) dt: EntityId,
+    pub(crate) refresh_ts: Timestamp,
+    initial: bool,
+    pub(crate) txn: Txn,
+    started: Instant,
+    fixed_units: f64,
+    work: RefreshWork,
+}
+
+enum RefreshWork {
+    /// Bound and pinned; `computed` is filled by [`RefreshJob::compute`].
+    Bound(Box<BoundRefresh>),
+    /// Failed with a user error (binding or evaluation); install records
+    /// the failure so failure bookkeeping serializes with everything else.
+    Failed(String),
+}
+
+struct BoundRefresh {
+    env: RefreshEnv,
+    plan: LogicalPlan,
+    refresh_mode: RefreshMode,
+    prev: Option<Frontier>,
+    upstream: Vec<EntityId>,
+    /// The new definition fingerprint when query evolution was detected
+    /// (§5.4); applied to the catalog at install.
+    evolved: Option<u64>,
+    /// Run the §6.1 level-4 DVS check after install.
+    validate: bool,
+    computed: Option<ComputedRefresh>,
+}
+
+impl RefreshJob {
+    /// True when the refresh failed with a user error; install will record
+    /// the failure rather than publish.
+    pub(crate) fn is_failed(&self) -> bool {
+        matches!(self.work, RefreshWork::Failed(_))
+    }
+
+    /// Phase 2, runnable with no engine lock held: compute and stage the
+    /// refresh against its pinned env. User errors turn the job into a
+    /// recorded failure; an internal error is returned and leaves the
+    /// job for the caller to abort.
+    pub(crate) fn compute(&mut self) -> DtResult<()> {
+        let RefreshWork::Bound(bound) = &mut self.work else {
+            return Ok(());
+        };
+        match compute_refresh(
+            &bound.env,
+            self.dt,
+            self.refresh_ts,
+            self.initial,
+            bound.evolved.is_some(),
+            bound.refresh_mode,
+            &bound.plan,
+            bound.prev.as_ref(),
+        ) {
+            Ok(computed) => bound.computed = Some(computed),
+            Err(e) if e.is_user_error() => self.work = RefreshWork::Failed(e.to_string()),
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+}
+
 impl EngineState {
     /// Pin a [`RefreshEnv`] for `dt` and its scanned sources: `Arc` clones
     /// of the storage handles and refresh map plus the config the delta
     /// computation needs. O(#sources); taken under whatever engine lock
     /// the caller already holds.
-    pub(crate) fn refresh_env(&self, dt: EntityId, upstream: &[EntityId]) -> DtResult<RefreshEnv> {
+    fn refresh_env(&self, dt: EntityId, upstream: &[EntityId]) -> DtResult<RefreshEnv> {
         let mut tables = HashMap::with_capacity(upstream.len() + 1);
         let mut dt_ids = BTreeSet::new();
         for id in upstream.iter().copied().chain(std::iter::once(dt)) {
@@ -432,234 +542,264 @@ impl EngineState {
         })
     }
 
-    /// Execute one refresh of `dt` to data timestamp `refresh_ts`.
+    /// Phase 1 of every refresh, under any engine lock: resolve the DT,
+    /// admit it (per-DT lock, §5.3), reject a stale timestamp, rebind the
+    /// defining query (§5.4), detect query evolution, and pin the refresh
+    /// env. `Err` means nothing was admitted: the target was dropped, the
+    /// DT is locked or already refreshed at or past `refresh_ts` (typed
+    /// conflicts), or an internal error. A binding failure is a user error
+    /// — including a dropped upstream, which `UNDROP` heals (§3.3.3) — and
+    /// yields a failed job whose install records it.
+    pub(crate) fn stage_refresh(
+        &self,
+        dt: EntityId,
+        refresh_ts: Timestamp,
+        initial: bool,
+    ) -> DtResult<RefreshJob> {
+        let started = Instant::now();
+        let dropped = || DtError::Conflict(format!("refresh target {dt} was dropped"));
+        let entity = self.catalog.get(dt).map_err(|_| dropped())?;
+        if !entity.is_live() {
+            return Err(dropped());
+        }
+        let meta = entity
+            .as_dt()
+            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?;
+
+        let txn = self.txn.begin_at(refresh_ts);
+        let work = (|| {
+            self.txn.try_lock(&txn, dt)?;
+            // An overlapping round with a newer timestamp may already have
+            // refreshed this DT past `refresh_ts` (frontiers only move
+            // forward). The per-DT lock held from here through install
+            // keeps the frontier frozen, so this check cannot race.
+            let prev = self.frontiers.get(&dt).cloned();
+            if let Some(prev) = &prev {
+                if prev.refresh_ts >= refresh_ts {
+                    return Err(DtError::Conflict(format!(
+                        "a newer refresh of {dt} (ts {}) already installed at or past {refresh_ts}",
+                        prev.refresh_ts
+                    )));
+                }
+            }
+            let bound = dt_sql::parse(&meta.definition_sql).and_then(|parsed| {
+                let dt_sql::ast::Statement::Query(q) = parsed else {
+                    return Err(DtError::internal("DT definition is not a query"));
+                };
+                self.bind_query(&q)
+            });
+            let plan = match bound {
+                Ok(bound) => bound.plan,
+                Err(e) if e.is_user_error() || matches!(e, DtError::Catalog(_)) => {
+                    return Ok(RefreshWork::Failed(e.to_string()))
+                }
+                Err(e) => return Err(e),
+            };
+            let upstream = plan.scanned_entities();
+            let fingerprint = self.catalog.fingerprint(&upstream);
+            Ok(RefreshWork::Bound(Box::new(BoundRefresh {
+                env: self.refresh_env(dt, &upstream)?,
+                plan,
+                refresh_mode: meta.refresh_mode,
+                prev,
+                upstream,
+                evolved: (fingerprint != meta.definition_fingerprint).then_some(fingerprint),
+                validate: self.config.validate_dvs
+                    && self.config.semantics == VersionSemantics::Dvs,
+                computed: None,
+            })))
+        })();
+        match work {
+            Ok(work) => Ok(RefreshJob {
+                dt,
+                refresh_ts,
+                initial,
+                txn,
+                started,
+                fixed_units: self.config.cost_model.fixed_units,
+                work,
+            }),
+            Err(e) => {
+                let _ = self.txn.abort(&txn);
+                Err(e)
+            }
+        }
+    }
+
+    /// Execute one refresh of `dt` to data timestamp `refresh_ts` under the
+    /// engine write lock the caller holds: stage, compute, install, log.
     /// User errors become a `Failed` outcome (and bump the DT's error
-    /// counter); internal invariant violations propagate as `Err`.
+    /// counter); conflicts and internal errors propagate as `Err`. The
+    /// caller reports the outcome to the scheduler.
     pub fn run_refresh(
         &mut self,
         dt: EntityId,
         refresh_ts: Timestamp,
         initial: bool,
     ) -> DtResult<RefreshOutcome> {
-        let started = std::time::Instant::now();
-        match self.try_refresh(dt, refresh_ts, initial) {
-            Ok((outcome, source_rows, pending_wal)) => {
-                self.catalog.record_dt_success(dt)?;
-                // Logged after `record_dt_success` so the record's catalog
-                // image carries the error-counter reset (and any evolution
-                // fingerprint update from step 2).
-                if let Some(pending) = pending_wal {
-                    let record = pending.into_record(self.catalog.to_bytes());
-                    self.wal_append(&[record])?;
-                }
-                self.log_refresh(dt, refresh_ts, &outcome, initial, started, source_rows);
-                Ok(outcome)
-            }
-            Err(e) if e.is_user_error() => {
-                self.catalog.record_dt_error(dt)?;
-                self.wal_log_catalog(crate::durability::SideEffect::None)?;
-                let outcome = RefreshOutcome {
-                    action: RefreshAction::Failed(e.to_string()),
-                    changed_rows: 0,
-                    dt_rows: 0,
-                    work_units: self.config.cost_model.fixed_units,
-                };
-                self.log_refresh(dt, refresh_ts, &outcome, initial, started, 0);
-                Ok(outcome)
-            }
-            Err(e) => Err(e),
+        let mut job = self.stage_refresh(dt, refresh_ts, initial)?;
+        if let Err(e) = job.compute() {
+            let _ = self.txn.abort(&job.txn);
+            return Err(e);
         }
+        let mut wal_records = Vec::new();
+        let installed = install_one(self, job, &mut wal_records);
+        self.wal_append(&wal_records)?;
+        installed.map(|(outcome, _)| outcome)
     }
+}
 
-    fn log_refresh(
-        &mut self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        outcome: &RefreshOutcome,
-        initial: bool,
-        started: std::time::Instant,
-        source_rows: usize,
-    ) {
-        self.refresh_log.push(RefreshLogEntry {
-            dt,
-            refresh_ts,
-            action: action_label(&outcome.action),
-            changed_rows: outcome.changed_rows,
-            dt_rows: outcome.dt_rows,
-            initial,
-            duration_micros: started.elapsed().as_micros() as u64,
-            source_rows,
-        });
-    }
+/// Install one computed refresh (or record its failure) under the engine
+/// write lock the caller holds, pushing its WAL records onto
+/// `wal_records` for the caller to append. Returns the outcome and the
+/// commit timestamp (`refresh_ts` for a failure). Every entity the refresh
+/// read must still be live, else it aborts with a typed
+/// [`DtError::Conflict`]. The caller reports to the scheduler.
+pub(crate) fn install_one(
+    st: &mut EngineState,
+    job: RefreshJob,
+    wal_records: &mut Vec<WalRecord>,
+) -> DtResult<(RefreshOutcome, Timestamp)> {
+    let RefreshJob {
+        dt,
+        refresh_ts,
+        initial,
+        txn,
+        started,
+        fixed_units,
+        work,
+    } = job;
+    let abort = |st: &EngineState, e: DtError| {
+        let _ = st.txn.abort(&txn);
+        Err(e)
+    };
 
-    fn try_refresh(
-        &mut self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        initial: bool,
-    ) -> DtResult<(RefreshOutcome, usize, Option<crate::durability::PendingRefreshWal>)> {
-        // 1. Rebind the defining query against the live catalog (§5.4).
-        //    Binding failures (dropped upstream) are user errors that fail
-        //    this refresh; once the upstream is restored, refreshes resume.
-        let meta = self
-            .catalog
-            .get(dt)?
-            .as_dt()
-            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?
-            .clone();
-        let parsed = dt_sql::parse(&meta.definition_sql)?;
-        let dt_sql::ast::Statement::Query(q) = parsed else {
-            return Err(DtError::internal("DT definition is not a query"));
-        };
-        let bound = self.bind_query(&q)?;
-        let plan = bound.plan;
-        let upstream_now = plan.scanned_entities();
-
-        // 2. Query evolution (§5.4): if the bound upstream set or any
-        //    upstream schema changed, the stored results may be invalid —
-        //    REINITIALIZE conservatively.
-        let fingerprint_now = self.catalog.fingerprint(&upstream_now);
-        let evolved = fingerprint_now != meta.definition_fingerprint;
-        if evolved {
-            let m = self.catalog.get_mut(dt)?.as_dt_mut().unwrap();
-            m.definition_fingerprint = fingerprint_now;
-            m.upstream = upstream_now.clone();
+    let (outcome, commit_ts, source_rows) = match work {
+        RefreshWork::Failed(error) => {
+            // The transaction installs nothing; the failure bumps the
+            // error counter, which the WAL must carry.
+            st.txn.abort(&txn)?;
+            st.catalog.record_dt_error(dt)?;
+            if st.wal_enabled() {
+                wal_records.push(st.catalog_record(SideEffect::None));
+            }
+            let outcome = RefreshOutcome {
+                action: RefreshAction::Failed(error),
+                changed_rows: 0,
+                dt_rows: 0,
+                work_units: fixed_units,
+            };
+            (outcome, refresh_ts, 0)
         }
-
-        // 3. Lock the DT (§5.3: no concurrent refreshes of one DT).
-        let txn = self.txn.begin_at(refresh_ts);
-        self.txn.try_lock(&txn, dt)?;
-
-        // 4. Compute: the shared prepare core, against a pinned env. The
-        //    serial path holds the engine write lock throughout, so the
-        //    staged change cannot conflict at install.
-        let prev = self.frontiers.get(&dt).cloned();
-        let mut wal_install = None;
-        let result = self
-            .refresh_env(dt, &upstream_now)
-            .and_then(|env| {
-                compute_refresh(
-                    &env,
-                    dt,
-                    refresh_ts,
-                    initial,
-                    evolved,
-                    meta.refresh_mode,
-                    &plan,
-                    prev.as_ref(),
-                )
-            })
-            .and_then(|computed| {
-                if let Some(prep) = computed.prep {
-                    let store = &self.tables[&dt];
-                    let install_ts = self.txn_commit_stamp(refresh_ts);
-                    if self.wal_enabled() {
-                        wal_install = Some((install_ts, prep.install_record()));
-                    }
-                    store.install_prepared(prep, install_ts, txn.id)?;
-                    Ok(ComputedRefresh {
-                        prep: None,
-                        ..computed
-                    })
-                } else {
-                    Ok(computed)
-                }
-            });
-        match result {
-            Ok(computed) => {
-                let commit_ts = self.txn.commit(&txn)?;
-                // Record the refresh-ts → version mapping (§5.3) and the
-                // new frontier.
-                let version = self.tables[&dt].latest_version();
-                self.refresh_map.record(dt, refresh_ts, version, commit_ts);
-                // Refreshes only move frontiers forward.
-                if let Some(prev) = self.frontiers.get(&dt) {
-                    debug_assert!(
-                        computed.new_frontier.refresh_ts >= prev.refresh_ts,
-                        "frontier moved backwards"
+        RefreshWork::Bound(bound) => {
+            let BoundRefresh {
+                env,
+                plan,
+                upstream,
+                evolved,
+                validate,
+                computed,
+                ..
+            } = *bound;
+            let Some(computed) = computed else {
+                return abort(st, DtError::internal("refresh installed before it was computed"));
+            };
+            if !st.txn.is_active(&txn) {
+                return Err(DtError::Txn(format!(
+                    "refresh transaction {} is not active",
+                    txn.id
+                )));
+            }
+            // Liveness, as DML commits check it: a table dropped between
+            // stage and install aborts the refresh instead of installing
+            // a result nothing can read consistently.
+            for id in std::iter::once(dt).chain(upstream.iter().copied()) {
+                if !st.catalog.get(id).map(|e| e.is_live()).unwrap_or(false) {
+                    return abort(
+                        st,
+                        DtError::Conflict(format!(
+                            "entity {id} read by the refresh of {dt} was dropped mid-round"
+                        )),
                     );
                 }
-                let pending_wal =
-                    self.wal_enabled()
-                        .then(|| crate::durability::PendingRefreshWal {
-                            dt,
-                            txn: txn.id,
-                            refresh_ts,
-                            commit_ts,
-                            install: wal_install.take(),
-                            version,
-                            frontier: computed.new_frontier.clone(),
-                        });
-                self.frontiers.insert(dt, computed.new_frontier);
+            }
 
-                // 5. DVS validation (§6.1 level 4): the stored contents
-                //    must equal the defining query at the data timestamp.
-                if self.config.validate_dvs
-                    && self.config.semantics == VersionSemantics::Dvs
-                    && !matches!(computed.outcome.action, RefreshAction::Failed(_))
-                {
-                    self.validate_dvs_invariant(dt, refresh_ts, &plan)?;
+            // Validate + install under the table's commit guard (first
+            // committer wins), stamped past both the table's chain and the
+            // refresh timestamp.
+            let store = Arc::clone(env.store(dt)?);
+            let mut wal_install = None;
+            let commit_ts = match computed.prep {
+                Some(prep) => {
+                    let guard = store.commit_guard();
+                    if let Err(e) = guard.validate_prepared(&prep) {
+                        drop(guard);
+                        return abort(st, e);
+                    }
+                    let floor = guard.latest_commit_ts().max(refresh_ts);
+                    let commit_ts = st.txn.hlc().tick_after(floor);
+                    if st.wal_enabled() {
+                        wal_install = Some((commit_ts, prep.install_record()));
+                    }
+                    guard.install_validated(prep, commit_ts, txn.id);
+                    commit_ts
                 }
-                Ok((computed.outcome, computed.source_rows, pending_wal))
+                // NO_DATA: nothing to install, only metadata advances.
+                None => st.txn.hlc().tick_after(refresh_ts),
+            };
+            st.txn.commit_at(&txn, commit_ts)?;
+
+            // Metadata: evolution, the refresh-ts → version map (§5.3),
+            // the frontier, and the error-counter reset.
+            if let Some(fingerprint) = evolved {
+                if let Some(m) = st.catalog.get_mut(dt)?.as_dt_mut() {
+                    m.definition_fingerprint = fingerprint;
+                    m.upstream = upstream;
+                }
             }
-            Err(e) => {
-                self.txn.abort(&txn)?;
-                Err(e)
+            let version = store.latest_version();
+            st.refresh_map.record(dt, refresh_ts, version, commit_ts);
+            let new_frontier = computed.new_frontier;
+            if let Some(prev) = st.frontiers.get(&dt) {
+                debug_assert!(
+                    new_frontier.refresh_ts >= prev.refresh_ts,
+                    "frontier moved backwards"
+                );
             }
+            let frontier = new_frontier.iter().collect();
+            st.frontiers.insert(dt, new_frontier);
+            st.catalog.record_dt_success(dt)?;
+            // Catalog bytes are captured after the success bookkeeping so
+            // the record carries the error-counter reset and any evolution.
+            if st.wal_enabled() {
+                wal_records.push(WalRecord::Refresh {
+                    dt,
+                    txn: txn.id,
+                    refresh_ts,
+                    commit_ts,
+                    install: wal_install,
+                    version,
+                    frontier,
+                    catalog: st.catalog.to_bytes(),
+                });
+            }
+            if validate {
+                env.validate_dvs(dt, refresh_ts, &plan)?;
+            }
+            (computed.outcome, commit_ts, computed.source_rows)
         }
-    }
-
-    /// Commit stamp for storage versions created by a refresh: strictly
-    /// monotonic per table, at or after both the refresh timestamp and now.
-    fn txn_commit_stamp(&self, refresh_ts: Timestamp) -> Timestamp {
-        let hlc_now = self.txn.hlc().tick();
-        hlc_now.max(refresh_ts)
-    }
-
-    /// Evaluate a plan at a data timestamp under the configured semantics;
-    /// also returns the total input row count (for the cost model).
-    pub(crate) fn evaluate_at(
-        &self,
-        plan: &LogicalPlan,
-        ts: Timestamp,
-    ) -> DtResult<(Vec<Row>, usize)> {
-        let is_dt = |id: EntityId| self.is_dt(id);
-        let view = StorageView {
-            tables: &self.tables,
-            dt_entities: &is_dt,
-            refresh_map: &self.refresh_map,
-        };
-        let provider = SnapshotProvider::new(view, ts, self.config.semantics);
-        let mut input_rows = 0usize;
-        for e in plan.scanned_entities() {
-            input_rows += provider.scan(e).map(|r| r.len()).unwrap_or(0);
-        }
-        let rows = dt_exec::execute(plan, &provider)?;
-        Ok((rows, input_rows))
-    }
-
-    /// §6.1 level-4 validation: "if you run the defining query as of the
-    /// data timestamp, you should get the same result as in the DT."
-    pub(crate) fn validate_dvs_invariant(
-        &self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        plan: &LogicalPlan,
-    ) -> DtResult<()> {
-        let store = &self.tables[&dt];
-        let mut stored = strip_row_ids(store.scan(store.latest_version())?);
-        stored.sort();
-        let (mut expected, _) = self.evaluate_at(plan, refresh_ts)?;
-        expected.sort();
-        if stored != expected {
-            return Err(DtError::internal(format!(
-                "DVS violation on {dt} at {refresh_ts}: stored {} rows != query {} rows",
-                stored.len(),
-                expected.len()
-            )));
-        }
-        Ok(())
-    }
+    };
+    st.refresh_log.push(RefreshLogEntry {
+        dt,
+        refresh_ts,
+        action: action_label(&outcome.action),
+        changed_rows: outcome.changed_rows,
+        dt_rows: outcome.dt_rows,
+        initial,
+        duration_micros: started.elapsed().as_micros() as u64,
+        source_rows,
+    });
+    Ok((outcome, commit_ts))
 }
 
 /// The log label for a refresh action.

@@ -89,6 +89,9 @@ pub struct DtSchedState {
     pub last_data_ts: Option<Timestamp>,
     /// In-flight refresh: (refresh_ts, expected end).
     pub in_flight: Option<(Timestamp, Timestamp)>,
+    /// Data timestamp of the latest failed refresh. Its grid point is not
+    /// retried; the next one is (§3.3.3).
+    pub last_failed_ts: Option<Timestamp>,
     /// Suspended (user or errors).
     pub suspended: bool,
     /// Consecutive error count.
@@ -128,6 +131,7 @@ impl Scheduler {
                 upstream,
                 last_data_ts: None,
                 in_flight: None,
+                last_failed_ts: None,
                 suspended: false,
                 error_count: 0,
                 skipped_total: 0,
@@ -281,7 +285,9 @@ impl Scheduler {
                 continue;
             }
             let scheduled = grid_at_or_before(now, period, phase);
-            let last = st.last_data_ts.unwrap();
+            // The latest grid point already attempted, successfully or not.
+            let last_data = st.last_data_ts.unwrap();
+            let last = st.last_failed_ts.map_or(last_data, |f| f.max(last_data));
             if scheduled <= last {
                 continue;
             }
@@ -472,6 +478,7 @@ impl Scheduler {
             // (a later data timestamp) will be attempted. Consecutive
             // failures suspend the DT.
             st.error_count += 1;
+            st.last_failed_ts = st.last_failed_ts.max(Some(refresh_ts));
             if st.error_count >= threshold {
                 st.suspended = true;
                 return Ok(true);
@@ -659,6 +666,29 @@ mod tests {
         s.set_suspended(a, false).unwrap();
         assert_eq!(s.state(a).unwrap().error_count, 0);
         assert!(!s.due_refreshes(ts(now)).is_empty());
+    }
+
+    #[test]
+    fn failed_grid_point_is_not_retried() {
+        let mut s = Scheduler::new(SchedulerConfig::default());
+        let a = EntityId(1);
+        s.register(a, TargetLag::Duration(mins(1)), vec![]);
+        s.mark_initialized(a, ts(0)).unwrap();
+        let fail = RefreshOutcome {
+            action: RefreshAction::Failed("x".into()),
+            changed_rows: 0,
+            dt_rows: 0,
+            work_units: 1.0,
+        };
+        let due = s.due_refreshes(ts(50));
+        assert_eq!(due[0].refresh_ts, ts(48));
+        s.report(a, ts(48), &fail, ts(51)).unwrap();
+        // Later in the same period: the failed grid point stays failed.
+        assert!(s.due_refreshes(ts(60)).is_empty());
+        // The next grid point is attempted, and the failed one is not
+        // counted as skipped.
+        let due = s.due_refreshes(ts(100));
+        assert_eq!((due[0].refresh_ts, due[0].skipped), (ts(96), 0));
     }
 
     #[test]

@@ -288,13 +288,126 @@ fn drop_undrop_upstream_recovers_automatically() {
     // Upstream DDL takes precedence over downstream (§3.4): the drop
     // succeeds and the DT's refreshes fail afterwards.
     db.execute("DROP TABLE t").unwrap();
-    let err = db.execute("ALTER DYNAMIC TABLE d REFRESH");
-    assert!(err.is_err() || eng.refresh_log().last().unwrap().action == "failed");
+    db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
+    assert_eq!(eng.refresh_log().last().unwrap().action, "failed");
     // UNDROP: refreshes resume without issue.
     db.execute("UNDROP TABLE t").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
     let rows = db.query_sorted("SELECT k FROM d").unwrap();
+    assert_eq!(rows, vec![row!(1i64), row!(2i64)]);
+}
+
+/// `d1` reads `t1`; `d2` reads the unrelated `t2`. Both refresh every
+/// 48 s (a 1-minute target lag).
+fn dropped_upstream_fixture(error_suspend_threshold: u32) -> (Engine, Session) {
+    let cfg = DbConfig {
+        validate_dvs: true,
+        error_suspend_threshold,
+        ..DbConfig::default()
+    };
+    let eng = Engine::new(cfg);
+    eng.create_warehouse("wh", 4).unwrap();
+    let db = eng.session();
+    db.execute("CREATE TABLE t1 (k INT)").unwrap();
+    db.execute("CREATE TABLE t2 (k INT)").unwrap();
+    db.execute("INSERT INTO t1 VALUES (1)").unwrap();
+    db.execute("INSERT INTO t2 VALUES (1)").unwrap();
+    for (dt, src) in [("d1", "t1"), ("d2", "t2")] {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {dt} TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             AS SELECT k FROM {src}"
+        ))
+        .unwrap();
+    }
+    (eng, db)
+}
+
+/// Run the scheduler through the next 48 s grid point and past its
+/// refreshes' completion; returns the refresh-log entries it added.
+fn scheduler_step(eng: &Engine, step: i64) -> Vec<dt_core::RefreshLogEntry> {
+    let before = eng.refresh_log().len();
+    eng.run_scheduler_until(Timestamp::from_secs(48 * step + 24))
+        .unwrap_or_else(|e| panic!("scheduler step {step} failed: {e:?}"));
+    eng.refresh_log().entries()[before..].to_vec()
+}
+
+fn dt_state(eng: &Engine, name: &str) -> (dt_common::EntityId, dt_catalog::DtState) {
+    eng.inspect(|s| {
+        let e = s.catalog().resolve(name).unwrap();
+        (e.id, e.as_dt().unwrap().state)
+    })
+}
+
+/// A dropped upstream fails its DT's scheduled refreshes without wedging
+/// the scheduler (§3.3.3, §3.4): every step succeeds and logs a `failed`
+/// refresh, an unrelated DT keeps refreshing in the same steps, and the
+/// DT suspends at the error threshold.
+#[test]
+fn dropped_upstream_fails_scheduled_refreshes_until_suspended() {
+    let threshold = 3;
+    let (eng, db) = dropped_upstream_fixture(threshold);
+    let (d1, _) = dt_state(&eng, "d1");
+    let (d2, _) = dt_state(&eng, "d2");
+    db.execute("DROP TABLE t1").unwrap();
+    for step in 1..=i64::from(threshold) {
+        db.execute(&format!("INSERT INTO t2 VALUES ({})", step + 1)).unwrap();
+        let (_, state) = dt_state(&eng, "d1");
+        assert_eq!(state, dt_catalog::DtState::Active, "suspended before step {step}");
+        let added = scheduler_step(&eng, step);
+        assert!(
+            added.iter().any(|e| e.dt == d1 && e.action == "failed"),
+            "step {step} logged no failed refresh of d1: {added:?}"
+        );
+        assert!(
+            added.iter().any(|e| e.dt == d2 && e.action == "incremental"),
+            "step {step} did not refresh d2: {added:?}"
+        );
+    }
+    let (_, state) = dt_state(&eng, "d1");
+    assert_eq!(state, dt_catalog::DtState::SuspendedOnErrors);
+    eng.inspect(|s| assert!(s.scheduler().state(d1).unwrap().suspended));
+    assert_eq!(
+        eng.refresh_log()
+            .entries()
+            .iter()
+            .filter(|e| e.dt == d1 && e.action == "failed")
+            .count(),
+        threshold as usize
+    );
+
+    // Suspended: d1 sits out while d2 keeps refreshing.
+    db.execute("INSERT INTO t2 VALUES (100)").unwrap();
+    let added = scheduler_step(&eng, i64::from(threshold) + 1);
+    assert!(!added.iter().any(|e| e.dt == d1), "{added:?}");
+    assert!(added.iter().any(|e| e.dt == d2), "{added:?}");
+    let rows = db.query_sorted("SELECT k FROM d2").unwrap();
+    assert_eq!(rows.len(), threshold as usize + 2);
+}
+
+/// Below the error threshold, `UNDROP` alone heals a dropped upstream: the
+/// scheduler's next refresh of the DT picks up rows written since.
+#[test]
+fn undrop_alone_resumes_scheduled_refreshes_below_threshold() {
+    let (eng, db) = dropped_upstream_fixture(5);
+    let (d1, _) = dt_state(&eng, "d1");
+    db.execute("DROP TABLE t1").unwrap();
+    for step in 1..=2 {
+        let added = scheduler_step(&eng, step);
+        assert!(
+            added.iter().any(|e| e.dt == d1 && e.action == "failed"),
+            "step {step}: {added:?}"
+        );
+    }
+    db.execute("UNDROP TABLE t1").unwrap();
+    db.execute("INSERT INTO t1 VALUES (2)").unwrap();
+    let added = scheduler_step(&eng, 3);
+    assert!(
+        added.iter().any(|e| e.dt == d1 && e.action == "incremental"),
+        "{added:?}"
+    );
+    assert_eq!(dt_state(&eng, "d1").1, dt_catalog::DtState::Active);
+    let rows = db.query_sorted("SELECT k FROM d1").unwrap();
     assert_eq!(rows, vec![row!(1i64), row!(2i64)]);
 }
 

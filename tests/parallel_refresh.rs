@@ -4,13 +4,15 @@
 //! mid-round, snapshot consistency for concurrent readers, and DSG
 //! certification of refresh + writer histories.
 
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use dynamic_tables::core::{DbConfig, Engine, RoundStatus};
+use dynamic_tables::core::{DbConfig, DurabilityMode, Engine, RoundStatus};
 use dynamic_tables::isolation::{analyze, History};
-use dt_common::EntityId;
+use dt_common::{EntityId, Row};
 use dt_storage::TableStore;
 
 fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
@@ -528,4 +530,135 @@ fn suspended_subtree_is_pruned_from_parallel_rounds() {
     let resumed = engine.refresh_all_parallel().unwrap();
     assert_eq!(resumed.refreshed, 2, "{resumed:?}");
     assert_eq!(s.query_sorted("SELECT * FROM child").unwrap().len(), 1);
+}
+
+/// A per-test scratch directory, removed on drop.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(tag: &str) -> TestDir {
+        let path = std::env::temp_dir()
+            .join(format!("dt-parallel-refresh-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).unwrap();
+        TestDir(path)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+const DIFF_DTS: [&str; 4] = ["agg", "hot", "joined", "n_hot"];
+
+fn open_durable(dir: &TestDir) -> Engine {
+    Engine::open_with_config(DbConfig {
+        durability: DurabilityMode::wal(&dir.0),
+        validate_dvs: true,
+        ..DbConfig::default()
+    })
+    .unwrap()
+}
+
+/// Two levels: `agg` and `hot` read the base table, `joined` and `n_hot`
+/// read them.
+fn build_diff_dag(engine: &Engine) {
+    engine.create_warehouse("wh", 4).unwrap();
+    let s = engine.session();
+    s.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)").unwrap();
+    for ddl in [
+        "CREATE DYNAMIC TABLE agg TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k, sum(v) s FROM t GROUP BY k",
+        "CREATE DYNAMIC TABLE hot TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k, v FROM t WHERE v >= 20",
+        "CREATE DYNAMIC TABLE joined TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT agg.k, agg.s, hot.v FROM agg JOIN hot ON agg.k = hot.k",
+        "CREATE DYNAMIC TABLE n_hot TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT count(*) n FROM hot",
+    ] {
+        s.execute(ddl).unwrap();
+    }
+}
+
+/// The writes before each round; round 3 writes nothing (all NO_DATA).
+fn diff_round_writes(round: usize) -> &'static [&'static str] {
+    match round {
+        0 => &["INSERT INTO t VALUES (1, 15), (4, 40)"],
+        1 => &["UPDATE t SET v = v + 100 WHERE k = 2", "DELETE FROM t WHERE k = 3"],
+        2 => &["INSERT INTO t VALUES (5, 5)", "UPDATE t SET v = 50 WHERE v = 5"],
+        _ => &[],
+    }
+}
+
+fn diff_contents(engine: &Engine) -> BTreeMap<&'static str, Vec<Row>> {
+    let s = engine.session();
+    DIFF_DTS
+        .iter()
+        .map(|dt| (*dt, s.query_sorted(&format!("SELECT * FROM {dt}")).unwrap()))
+        .collect()
+}
+
+/// Each DT's refresh actions, oldest first, initialization included.
+fn diff_actions(engine: &Engine) -> BTreeMap<&'static str, Vec<&'static str>> {
+    let log = engine.refresh_log().entries();
+    DIFF_DTS
+        .iter()
+        .map(|dt| {
+            let id = id_of(engine, dt);
+            let actions = log.iter().filter(|e| e.dt == id).map(|e| e.action).collect();
+            (*dt, actions)
+        })
+        .collect()
+}
+
+/// The serial driver and parallel rounds share one refresh pipeline: the
+/// same DAG and writes, refreshed one DT at a time with `run_refresh` in
+/// topological order or as level-parallel rounds, end with the same
+/// contents and the same per-DT action sequence — and both engines
+/// recover those contents from disk.
+#[test]
+fn serial_run_refresh_matches_parallel_rounds_and_recovers_identically() {
+    let (serial_dir, parallel_dir) = (TestDir::new("serial"), TestDir::new("parallel"));
+    let serial = open_durable(&serial_dir);
+    let parallel = open_durable(&parallel_dir);
+    build_diff_dag(&serial);
+    build_diff_dag(&parallel);
+    let topo: Vec<EntityId> = DIFF_DTS.iter().map(|dt| id_of(&serial, dt)).collect();
+
+    for round in 0..4 {
+        for sql in diff_round_writes(round) {
+            serial.session().execute(sql).unwrap();
+            parallel.session().execute(sql).unwrap();
+        }
+        serial.inspect_mut(|st| {
+            let refresh_ts = st.txn_manager().hlc().tick();
+            for &dt in &topo {
+                let outcome = st.run_refresh(dt, refresh_ts, false).unwrap();
+                assert!(
+                    !matches!(outcome.action, dynamic_tables::scheduler::RefreshAction::Failed(_)),
+                    "round {round}: {outcome:?}"
+                );
+            }
+        });
+        let report = parallel.refresh_all_parallel().unwrap();
+        assert_eq!(report.refreshed, DIFF_DTS.len(), "round {round}: {report:?}");
+        assert_eq!(diff_contents(&serial), diff_contents(&parallel), "round {round}");
+    }
+
+    let contents = diff_contents(&serial);
+    let actions = diff_actions(&serial);
+    assert_eq!(actions, diff_actions(&parallel));
+    // The last four refreshes of each DT are the four rounds.
+    let rounds = |dt: &str| actions[dt][actions[dt].len() - 4..].to_vec();
+    for dt in ["agg", "hot", "joined"] {
+        assert_eq!(rounds(dt), ["incremental", "incremental", "incremental", "no_data"], "{dt}");
+    }
+    assert_eq!(rounds("n_hot"), ["full", "full", "full", "no_data"]);
+
+    drop((serial, parallel));
+    assert_eq!(diff_contents(&open_durable(&serial_dir)), contents);
+    assert_eq!(diff_contents(&open_durable(&parallel_dir)), contents);
 }
