@@ -34,6 +34,15 @@
 //! the partitions touched, not the table size. Each statement must
 //! report exactly one row.
 //!
+//! A sixth arm, `group_agg`, times the columnar join and grouped
+//! aggregate. A second fact table of `rows / 4` rows (an `Int` group
+//! column with 100 values, in `partitions` commits) and a 100-row
+//! dimension table mapping each group to one of 8 string regions back two
+//! queries: a 100-group aggregate (`GROUP BY g`: count, sum, max) and a
+//! dimension join aggregated by region. Each runs `iters` times on the row
+//! interpreter and on the batch pipeline (one scan thread each); the
+//! results must be equal.
+//!
 //! Gates (asserted, with one re-measure to absorb scheduler noise):
 //! `columnar+pushdown` must beat `row` by ≥5x — pruning alone removes
 //! ~95% of the data motion, so this holds on any host — and on hosts
@@ -41,7 +50,9 @@
 //! `columnar+pushdown` (parallelism may not help a pruned scan this
 //! small, but it must not wreck it; on 1-core hosts the arm still runs,
 //! exercising the cursor, and the gate is skipped). Both `dml_point`
-//! statements must have a p50 of at most 1 ms.
+//! statements must have a p50 of at most 1 ms. Both `group_agg` queries
+//! must run at least 3x faster (p50) on the batch pipeline than on the
+//! row interpreter.
 //!
 //! Run with: `cargo run --release -p dt-bench --bin scan_throughput`
 //! Optional args: `[rows] [partitions] [iters] [--json PATH]`.
@@ -112,6 +123,108 @@ fn setup(rows: usize, partitions: usize) -> Engine {
             .unwrap();
     }
     engine
+}
+
+/// Groups in the `group_agg` fact table and regions in its dimension.
+const GROUPS: usize = 100;
+const REGIONS: usize = 8;
+
+/// Gate for the `group_agg` arm: batch pipeline speed-up over the row
+/// interpreter, at p50.
+const GROUP_AGG_MIN_SPEEDUP: f64 = 3.0;
+
+/// Build the `group_agg` tables: `agg_fact(k, g, x)` with `rows` rows in
+/// `partitions` commits and `agg_dim(g, region)` with one row per group.
+fn setup_group_agg(engine: &Engine, rows: usize, partitions: usize) {
+    let session = engine.session();
+    session
+        .execute("CREATE TABLE agg_fact (k INT, g INT, x INT)")
+        .unwrap();
+    session
+        .execute("CREATE TABLE agg_dim (g INT, region STRING)")
+        .unwrap();
+    let chunk = rows / partitions;
+    for p in 0..partitions {
+        let values: Vec<String> = (0..chunk)
+            .map(|i| {
+                let k = p * chunk + i;
+                format!("({k}, {}, {})", (k * 7) % GROUPS, k % 1000)
+            })
+            .collect();
+        session
+            .execute(&format!("INSERT INTO agg_fact VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    let dims: Vec<String> = (0..GROUPS)
+        .map(|g| format!("({g}, 'r{}')", g % REGIONS))
+        .collect();
+    session
+        .execute(&format!("INSERT INTO agg_dim VALUES {}", dims.join(", ")))
+        .unwrap();
+}
+
+struct GroupAggReport {
+    query: &'static str,
+    result_rows: usize,
+    row_p50: u64,
+    batch_p50: u64,
+}
+
+impl GroupAggReport {
+    fn speedup(&self) -> f64 {
+        self.row_p50 as f64 / self.batch_p50.max(1) as f64
+    }
+}
+
+/// The `group_agg` arm: each query `iters` times on the row interpreter
+/// (unpushed plan) and on the batch pipeline (pushed plan), after checking
+/// that both return the same rows.
+fn run_group_agg(snap: &ReadSnapshot, iters: usize) -> Vec<GroupAggReport> {
+    let queries = [
+        (
+            "aggregate",
+            "SELECT g, count(*) n, sum(x) s, max(x) m FROM agg_fact GROUP BY g",
+        ),
+        (
+            "join",
+            "SELECT d.region, count(*) n, sum(f.x) s FROM agg_fact f \
+             JOIN agg_dim d ON f.g = d.g GROUP BY d.region",
+        ),
+    ];
+    queries
+        .iter()
+        .map(|(name, sql)| {
+            let query = match dt_sql::parse(sql).unwrap() {
+                dt_sql::ast::Statement::Query(q) => q,
+                _ => unreachable!(),
+            };
+            let plan = snap.bind_query(&query).unwrap().plan;
+            let pushed = dt_plan::push_down_filters(&plan);
+            let expected = dt_exec::execute_rows(&plan, snap).unwrap();
+            assert_eq!(
+                dt_exec::execute(&pushed, snap).unwrap(),
+                expected,
+                "group_agg {name}: batch pipeline differs from the row interpreter"
+            );
+            let time = |f: &dyn Fn() -> usize| {
+                let mut lat: Vec<u64> = (0..iters)
+                    .map(|_| {
+                        let t0 = Instant::now();
+                        assert_eq!(f(), expected.len());
+                        t0.elapsed().as_micros() as u64
+                    })
+                    .collect();
+                lat.sort_unstable();
+                percentile(&lat, 0.50)
+            };
+            GroupAggReport {
+                query: name,
+                result_rows: expected.len(),
+                row_p50: time(&|| dt_exec::execute_rows(&plan, snap).unwrap().len()),
+                batch_p50: time(&|| dt_exec::execute(&pushed, snap).unwrap().len()),
+            }
+        })
+        .collect()
 }
 
 /// Time one arm: `iters` executions of the prepared plan, per-query
@@ -207,6 +320,19 @@ fn run_dml_point(engine: &Engine, rows: usize, iters: usize, round: usize) -> [D
     [report("update", update), report("delete", delete)]
 }
 
+fn print_group_agg(reports: &[GroupAggReport]) {
+    for r in reports {
+        println!(
+            "group_agg {:<9} result-rows {:>4}  row p50 {:>7} µs  batch p50 {:>6} µs  {:>5.1}x",
+            r.query,
+            r.result_rows,
+            r.row_p50,
+            r.batch_p50,
+            r.speedup()
+        );
+    }
+}
+
 fn json_line(r: &ArmReport) -> String {
     format!(
         "    {{\"arm\": \"{}\", \"threads\": {}, \"result_rows\": {}, \
@@ -252,15 +378,21 @@ fn main() {
     let hi = lo + rows / 20;
     let sql = format!("SELECT k, v FROM scan_bench WHERE k >= {lo} AND k < {hi}");
 
-    println!("# Scan throughput: row vs columnar vs pushdown vs parallel, plus dml_point");
+    println!(
+        "# Scan throughput: row vs columnar vs pushdown vs parallel, plus dml_point \
+         and group_agg"
+    );
     println!(
         "# {rows} rows x {partitions} partitions, ~5% selective band \
          [{lo}, {hi}), {iters} iters/arm, {cores} core(s)\n"
     );
 
     let engine = setup(rows, partitions);
+    setup_group_agg(&engine, rows / 4, partitions);
     let session = engine.session();
     let mut snap = session.snapshot();
+    let mut agg_snap = session.snapshot();
+    agg_snap.set_scan_threads(1);
     let query = match dt_sql::parse(&sql).unwrap() {
         dt_sql::ast::Statement::Query(q) => q,
         _ => unreachable!(),
@@ -314,6 +446,9 @@ fn main() {
         );
     }
 
+    let mut group_agg = run_group_agg(&agg_snap, iters);
+    print_group_agg(&group_agg);
+
     if let Some(path) = &json_path {
         let body: Vec<String> = reports.iter().map(json_line).collect();
         let dml_body: Vec<String> = dml
@@ -325,14 +460,29 @@ fn main() {
                 )
             })
             .collect();
+        let agg_body: Vec<String> = group_agg
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"query\": \"{}\", \"result_rows\": {}, \"row_p50_us\": {}, \
+                     \"batch_p50_us\": {}, \"speedup\": {:.1}}}",
+                    r.query,
+                    r.result_rows,
+                    r.row_p50,
+                    r.batch_p50,
+                    r.speedup()
+                )
+            })
+            .collect();
         let json = format!(
             "{{\n  \"bench\": \"scan_throughput\",\n  \"rows\": {rows},\n  \
              \"partitions\": {partitions},\n  \"selectivity\": {:.3},\n  \
              \"iters\": {iters},\n  \"cores\": {cores},\n  \"arms\": [\n{}\n  ],\n  \
-             \"dml_point\": [\n{}\n  ]\n}}\n",
+             \"dml_point\": [\n{}\n  ],\n  \"group_agg\": [\n{}\n  ]\n}}\n",
             (hi - lo) as f64 / rows as f64,
             body.join(",\n"),
-            dml_body.join(",\n")
+            dml_body.join(",\n"),
+            agg_body.join(",\n")
         );
         std::fs::write(path, json).unwrap();
         println!("\nwrote {path}");
@@ -350,10 +500,13 @@ fn main() {
         cores < 2 || tput(rs, Arm::Parallel) >= 0.7 * tput(rs, Arm::Pushdown)
     };
     let dml_ok = |rs: &[DmlReport; 2]| rs.iter().all(|r| r.p50 <= DML_POINT_P50_US);
-    if !pushdown_ok(&reports) || !parallel_ok(&reports) || !dml_ok(&dml) {
+    let agg_ok = |rs: &[GroupAggReport]| rs.iter().all(|r| r.speedup() >= GROUP_AGG_MIN_SPEEDUP);
+    if !pushdown_ok(&reports) || !parallel_ok(&reports) || !dml_ok(&dml) || !agg_ok(&group_agg) {
         println!("\nnote: re-measuring gates once (first pass missed a bound)");
         reports = measure(iters);
         dml = run_dml_point(&engine, rows, iters, 1);
+        group_agg = run_group_agg(&agg_snap, iters);
+        print_group_agg(&group_agg);
     }
     assert!(
         pushdown_ok(&reports),
@@ -376,15 +529,27 @@ fn main() {
         );
     }
 
+    for r in &group_agg {
+        assert!(
+            r.speedup() >= GROUP_AGG_MIN_SPEEDUP,
+            "group_agg {}: batch p50 {} µs is not {GROUP_AGG_MIN_SPEEDUP}x the row p50 {} µs",
+            r.query,
+            r.batch_p50,
+            r.row_p50
+        );
+    }
+
     if cores < 2 {
         println!(
             "\nok: all arms agree; columnar+pushdown ≥5x row; dml_point p50 \
-             ≤ {DML_POINT_P50_US} µs (parallel gate skipped — 1 core)"
+             ≤ {DML_POINT_P50_US} µs; group_agg batch ≥{GROUP_AGG_MIN_SPEEDUP}x row \
+             (parallel gate skipped — 1 core)"
         );
     } else {
         println!(
             "\nok: all arms agree; columnar+pushdown ≥5x row; \
-             parallel within bounds on {cores} cores; dml_point p50 ≤ {DML_POINT_P50_US} µs"
+             parallel within bounds on {cores} cores; dml_point p50 ≤ {DML_POINT_P50_US} µs; \
+             group_agg batch ≥{GROUP_AGG_MIN_SPEEDUP}x row"
         );
     }
 }

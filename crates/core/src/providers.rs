@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dt_common::{DtError, DtResult, EntityId, Row, Timestamp};
+use dt_common::{DtError, DtResult, EntityId, Row, Timestamp, VersionId};
 use dt_exec::TableProvider;
 use dt_storage::TableStore;
 use dt_txn::RefreshTsMap;
@@ -67,8 +67,10 @@ impl<'a> SnapshotProvider<'a> {
     }
 }
 
-impl TableProvider for SnapshotProvider<'_> {
-    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+impl SnapshotProvider<'_> {
+    /// The storage of `entity`, the version this provider resolves it to,
+    /// and whether it is a DT.
+    fn resolve(&self, entity: EntityId) -> DtResult<(&Arc<TableStore>, VersionId, bool)> {
         let store = self
             .view
             .tables
@@ -88,6 +90,21 @@ impl TableProvider for SnapshotProvider<'_> {
                 .version_at(self.at)
                 .ok_or_else(|| DtError::Storage(format!("no version of {entity} at {}", self.at)))?
         };
+        Ok((store, version, is_dt))
+    }
+
+    /// The number of rows [`TableProvider::scan`] would return for
+    /// `entity`, read from the resolved version's metadata without
+    /// materializing a row.
+    pub fn row_count(&self, entity: EntityId) -> DtResult<usize> {
+        let (store, version, _) = self.resolve(entity)?;
+        store.row_count_at(version)
+    }
+}
+
+impl TableProvider for SnapshotProvider<'_> {
+    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+        let (store, version, is_dt) = self.resolve(entity)?;
         let rows = store.scan(version)?;
         Ok(if is_dt { strip_row_ids(rows) } else { rows })
     }

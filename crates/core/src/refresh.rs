@@ -200,7 +200,7 @@ impl RefreshEnv {
         let provider = SnapshotProvider::new(view, ts, self.semantics);
         let mut input_rows = 0usize;
         for e in plan.scanned_entities() {
-            input_rows += provider.scan(e).map(|r| r.len()).unwrap_or(0);
+            input_rows += provider.row_count(e).unwrap_or(0);
         }
         let rows = dt_exec::execute(plan, &provider)?;
         Ok((rows, input_rows))

@@ -109,7 +109,7 @@ impl OverlayProvider<'_> {
 impl TableProvider for OverlayProvider<'_> {
     fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
         match self.view(entity)? {
-            Some(view) => Ok(dt_exec::batch::flatten(view.scan_batches(None)?)),
+            Some(view) => Ok(dt_exec::batch::flatten(&view.scan_batches(None)?)),
             None => self.snap.scan(entity),
         }
     }

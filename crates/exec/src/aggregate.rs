@@ -1,9 +1,20 @@
-//! Grouped aggregation.
+//! Grouped aggregation: the row interpreter's [`execute_aggregate`] and
+//! the columnar [`execute_aggregate_batches`].
+//!
+//! The columnar form reads group keys and aggregate arguments straight
+//! out of column slots: a hash index maps each key to a dense group index
+//! (keyed on the machine word when the key is one `Int` column), and
+//! accumulators fold `Int` argument slots through a typed path that never
+//! builds a `Value`. Groups are emitted in key order, the order of the row
+//! interpreter's `BTreeMap`, so both forms return identical rows.
 
 use std::collections::{BTreeMap, HashSet};
 
-use dt_common::{Batch, DtError, DtResult, Row, Value};
+use dt_common::{Batch, ColumnVec, DtError, DtResult, Row, Value};
 use dt_plan::{AggExpr, AggFunc, ScalarExpr};
+
+use crate::batch::{flatten, project_batch};
+use crate::keys::KeyIndex;
 
 /// One aggregate's running state.
 enum AccState {
@@ -125,6 +136,59 @@ impl Accumulator {
         Ok(())
     }
 
+    /// Fold slot `i` of an argument column. Non-NULL `Int` slots take the
+    /// typed path; everything else goes through [`Accumulator::update`].
+    #[inline]
+    pub(crate) fn update_slot(&mut self, col: &ColumnVec, i: usize) -> DtResult<()> {
+        match col {
+            ColumnVec::Int { data, validity } if validity.as_ref().is_none_or(|v| v[i]) => {
+                self.update_int(data[i])
+            }
+            ColumnVec::Generic(values) => self.update(Some(&values[i])),
+            other => self.update(Some(&other.get(i))),
+        }
+    }
+
+    /// [`Accumulator::update`] with `Value::Int(x)`, on machine words where
+    /// the state allows. A `SUM` that would overflow takes the general path,
+    /// which reports the overflow exactly as the row interpreter does.
+    #[inline]
+    fn update_int(&mut self, x: i64) -> DtResult<()> {
+        match &mut self.state {
+            AccState::Count(n) if self.func == AggFunc::Count => {
+                *n += 1;
+                return Ok(());
+            }
+            AccState::Sum {
+                sum: Value::Int(s),
+                any,
+            } => {
+                let next = if *any { s.checked_add(x) } else { Some(x) };
+                if let Some(v) = next {
+                    *s = v;
+                    *any = true;
+                    return Ok(());
+                }
+            }
+            AccState::MinMax {
+                best: Some(Value::Int(b)),
+                is_min,
+            } => {
+                if (*is_min && x < *b) || (!*is_min && x > *b) {
+                    *b = x;
+                }
+                return Ok(());
+            }
+            AccState::Avg { sum, n } => {
+                *sum += x as f64;
+                *n += 1;
+                return Ok(());
+            }
+            _ => {}
+        }
+        self.update(Some(&Value::Int(x)))
+    }
+
     /// Produce the final aggregate value.
     pub fn finish(self) -> DtResult<Value> {
         Ok(match self.state {
@@ -204,27 +268,133 @@ pub fn execute_aggregate(
     for r in rows {
         fold_row(&mut groups, r, group_exprs, aggregates)?;
     }
-    finish_groups(groups, group_exprs, aggregates)
+    finish_groups(groups.into_iter().collect(), group_exprs, aggregates)
 }
 
-/// The batch-consuming form of [`execute_aggregate`]: accumulators fold
-/// directly off the selected rows of each batch, without materializing an
-/// intermediate row vector. Output is identical (group order is the key
-/// tuple's total order either way).
+/// The columnar form of [`execute_aggregate`]: keys and arguments are read
+/// from column slots of each batch's selected rows (see the module docs).
+/// Output rows, their order, and errors are identical to
+/// [`execute_aggregate`] over the same rows.
 pub fn execute_aggregate_batches(
     batches: &[Batch],
     group_exprs: &[ScalarExpr],
     aggregates: &[AggExpr],
 ) -> DtResult<Vec<Row>> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<Accumulator>> = BTreeMap::new();
+    let mut inputs = Vec::with_capacity(batches.len());
     for b in batches {
-        for i in 0..b.len() {
-            if b.is_selected(i) {
-                fold_row(&mut groups, &b.row(i), group_exprs, aggregates)?;
+        match AggInput::new(b, group_exprs, aggregates) {
+            Ok(input) => inputs.push(input),
+            // A key or argument expression failed on some row. The row
+            // interpreter interleaves evaluation with folding, so let it
+            // decide which error surfaces first.
+            Err(_) => return execute_aggregate(&flatten(batches), group_exprs, aggregates),
+        }
+    }
+    let grouped = !group_exprs.is_empty();
+    let mut index = KeyIndex::new(
+        grouped
+            && inputs
+                .iter()
+                .all(|input| KeyIndex::int_keyable(&input.key_columns())),
+    );
+    let n_aggs = aggregates.len();
+    // Group-major accumulators: group `g`'s are `accs[g * n_aggs..][..n_aggs]`.
+    let mut accs: Vec<Accumulator> = Vec::new();
+    let mut any_row = false;
+    for input in &inputs {
+        let keys = input.key_columns();
+        let args: Vec<Option<&ColumnVec>> = input
+            .args
+            .iter()
+            .map(|a| a.map(|c| &**input.batch.column(c)))
+            .collect();
+        for i in 0..input.batch.len() {
+            if !input.batch.is_selected(i) {
+                continue;
+            }
+            any_row = true;
+            let g = if grouped {
+                index.find_or_insert(&keys, i) as usize
+            } else {
+                0
+            };
+            if accs.len() < (g + 1) * n_aggs {
+                accs.extend(aggregates.iter().map(Accumulator::new));
+            }
+            for (acc, arg) in accs[g * n_aggs..].iter_mut().zip(&args) {
+                match arg {
+                    Some(col) => acc.update_slot(col, i)?,
+                    None => acc.update(None)?,
+                }
             }
         }
     }
+    let keys = if grouped {
+        index.into_keys()
+    } else if any_row {
+        vec![Vec::new()]
+    } else {
+        Vec::new()
+    };
+    let mut accs = accs.into_iter();
+    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = keys
+        .into_iter()
+        .map(|k| (k, accs.by_ref().take(n_aggs).collect()))
+        .collect();
+    // Key order: the row interpreter's BTreeMap order.
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
     finish_groups(groups, group_exprs, aggregates)
+}
+
+/// One batch's key and argument columns: the batch itself when every
+/// expression is a bare column, otherwise the batch projected onto the
+/// key expressions followed by the argument expressions.
+struct AggInput {
+    batch: Batch,
+    keys: Vec<usize>,
+    /// Per aggregate: its argument column, `None` for `count(*)`.
+    args: Vec<Option<usize>>,
+}
+
+impl AggInput {
+    fn new(b: &Batch, group_exprs: &[ScalarExpr], aggregates: &[AggExpr]) -> DtResult<AggInput> {
+        let bare = |e: &ScalarExpr| match e {
+            ScalarExpr::Column(c) if *c < b.arity() => Some(*c),
+            _ => None,
+        };
+        let keys: Option<Vec<usize>> = group_exprs.iter().map(bare).collect();
+        let args: Option<Vec<Option<usize>>> = aggregates
+            .iter()
+            .map(|a| match &a.arg {
+                None => Some(None),
+                Some(e) => bare(e).map(Some),
+            })
+            .collect();
+        if let (Some(keys), Some(args)) = (keys, args) {
+            return Ok(AggInput {
+                batch: b.clone(),
+                keys,
+                args,
+            });
+        }
+        let mut exprs = group_exprs.to_vec();
+        let mut args = Vec::with_capacity(aggregates.len());
+        for a in aggregates {
+            args.push(a.arg.as_ref().map(|e| {
+                exprs.push(e.clone());
+                exprs.len() - 1
+            }));
+        }
+        Ok(AggInput {
+            batch: project_batch(b, &exprs)?,
+            keys: (0..group_exprs.len()).collect(),
+            args,
+        })
+    }
+
+    fn key_columns(&self) -> Vec<&ColumnVec> {
+        self.keys.iter().map(|&c| &**self.batch.column(c)).collect()
+    }
 }
 
 fn fold_row(
@@ -250,8 +420,9 @@ fn fold_row(
     Ok(())
 }
 
+/// Finish `groups` (already in key order) into output rows.
 fn finish_groups(
-    groups: BTreeMap<Vec<Value>, Vec<Accumulator>>,
+    groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
     group_exprs: &[ScalarExpr],
     aggregates: &[AggExpr],
 ) -> DtResult<Vec<Row>> {

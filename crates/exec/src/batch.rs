@@ -1,7 +1,10 @@
 //! The batch-at-a-time pipeline: operators consume and produce columnar
-//! [`Batch`]es; rows are materialized only at operator boundaries that are
-//! inherently row-shaped (joins, window functions, sorting) and at the top
-//! of the plan, so `ExecResult` and the SQL surface are unchanged.
+//! [`Batch`]es. Hash joins and grouped aggregates read their keys and
+//! arguments straight from column vectors (see [`crate::join`] and
+//! [`crate::aggregate`]); rows are materialized only at operator
+//! boundaries that are inherently row-shaped (window functions, sorting,
+//! DISTINCT, nested-loop joins) and at the top of the plan, so
+//! `ExecResult` and the SQL surface are unchanged.
 //!
 //! Filters evaluate vectorized wherever the predicate (or a prefix of its
 //! conjunction) is provably error-free — comparisons of columns and
@@ -57,15 +60,14 @@ pub fn execute_batches(
         } => {
             let l = execute_batches(left, provider)?;
             let r = execute_batches(right, provider)?;
-            let rows = execute_join_batches(
+            execute_join_batches(
                 &l,
                 &r,
                 left.schema().len(),
                 right.schema().len(),
                 *join_type,
                 on,
-            )?;
-            Ok(rows_to_batches(rows))
+            )
         }
         LogicalPlan::UnionAll { inputs, .. } => {
             let mut out = Vec::new();
@@ -98,11 +100,11 @@ pub fn execute_batches(
             Ok(rows_to_batches(out))
         }
         LogicalPlan::Window { input, exprs, .. } => {
-            let rows = flatten(execute_batches(input, provider)?);
+            let rows = flatten(&execute_batches(input, provider)?);
             Ok(rows_to_batches(execute_window(&rows, exprs)?))
         }
         LogicalPlan::Sort { input, keys } => {
-            let rows = flatten(execute_batches(input, provider)?);
+            let rows = flatten(&execute_batches(input, provider)?);
             Ok(rows_to_batches(sort_rows(rows, keys)?))
         }
         LogicalPlan::Limit { input, n } => {
@@ -141,15 +143,15 @@ pub fn execute_batches(
 }
 
 /// Materialize all selected rows of all batches, in order.
-pub fn flatten(batches: Vec<Batch>) -> Vec<Row> {
+pub fn flatten(batches: &[Batch]) -> Vec<Row> {
     let mut out = Vec::new();
-    for b in &batches {
+    for b in batches {
         out.extend(b.to_rows());
     }
     out
 }
 
-fn rows_to_batches(rows: Vec<Row>) -> Vec<Batch> {
+pub(crate) fn rows_to_batches(rows: Vec<Row>) -> Vec<Batch> {
     if rows.is_empty() {
         return Vec::new();
     }
@@ -284,7 +286,7 @@ fn split_conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
     out.push(e.clone());
 }
 
-fn rejoin_conjuncts(conjuncts: &[ScalarExpr]) -> Option<ScalarExpr> {
+pub(crate) fn rejoin_conjuncts(conjuncts: &[ScalarExpr]) -> Option<ScalarExpr> {
     let mut it = conjuncts.iter().cloned();
     let first = it.next()?;
     Some(it.fold(first, |acc, c| ScalarExpr::Binary {
@@ -461,7 +463,7 @@ fn column_lit_mask(col: &ColumnVec, op: CmpOp, lit: &Value, n: usize) -> Mask {
 /// Project a batch. When every output expression is a bare column or a
 /// literal the projection is a zero-copy column permutation (plus constant
 /// splats); otherwise rows are materialized and evaluated.
-fn project_batch(batch: &Batch, exprs: &[ScalarExpr]) -> DtResult<Batch> {
+pub(crate) fn project_batch(batch: &Batch, exprs: &[ScalarExpr]) -> DtResult<Batch> {
     let simple = exprs.iter().all(|e| match e {
         ScalarExpr::Column(i) => *i < batch.arity(),
         ScalarExpr::Literal(_) => true,
@@ -673,7 +675,7 @@ mod tests {
             }),
             n: 2,
         };
-        let out = flatten(execute_batches(&plan, &p).unwrap());
+        let out = flatten(&execute_batches(&plan, &p).unwrap());
         assert_eq!(out, vec![row!(1i64), row!(2i64)]);
     }
 }

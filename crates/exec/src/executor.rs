@@ -108,7 +108,7 @@ impl TableProvider for MapProvider {
 /// pruning at the scan) and rows are materialized once at the top, so the
 /// result is row-shaped exactly as before.
 pub fn execute(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Row>> {
-    Ok(crate::batch::flatten(crate::batch::execute_batches(
+    Ok(crate::batch::flatten(&crate::batch::execute_batches(
         plan, provider,
     )?))
 }

@@ -1,11 +1,21 @@
 //! Join execution: hash join on extracted equi-keys with a nested-loop
 //! fallback; all four join types.
+//!
+//! [`execute_join`] is the row interpreter's join. [`execute_join_batches`]
+//! is the columnar one: the hash table is built on the right input's key
+//! columns, each left batch probes it with its own key columns, and output
+//! batches are gathered column by column at the matched index pairs, so no
+//! row is materialized on the way through.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use dt_common::{Batch, DtResult, Row, Value};
+use dt_common::{Batch, ColumnVec, DtResult, Row, Value};
 use dt_plan::expr::BinOp;
 use dt_plan::{JoinType, ScalarExpr};
+
+use crate::batch::{filter_batch, flatten, project_batch, rejoin_conjuncts, rows_to_batches};
+use crate::keys::{any_null, KeyIndex};
 
 /// Equi-key pairs extracted from an ON condition: expressions over the left
 /// row and the corresponding expressions over the right row.
@@ -160,13 +170,11 @@ pub fn execute_join(
     Ok(out)
 }
 
-/// The batch-consuming form of [`execute_join`]: the build side (right) is
-/// materialized into the hash table as rows, but the probe side streams
-/// batch by batch — each left batch's selected rows probe and emit without
-/// the probe input ever being collected into one row vector. Output rows
-/// and their order are identical to [`execute_join`]: matches in probe
-/// order, then unmatched-left padding in probe order, then unmatched-right
-/// padding in build order.
+/// The columnar form of [`execute_join`]. Output rows, their order
+/// (matches in probe order, then unmatched left rows in probe order, then
+/// unmatched right rows in build order) and errors are identical to
+/// [`execute_join`] over the same rows. A join without equi-keys runs as
+/// the row interpreter's nested loop.
 pub fn execute_join_batches(
     left: &[Batch],
     right: &[Batch],
@@ -174,75 +182,193 @@ pub fn execute_join_batches(
     right_arity: usize,
     join_type: JoinType,
     on: &ScalarExpr,
-) -> DtResult<Vec<Row>> {
-    let keys = extract_equi_keys(on, left_arity);
-    let right_rows: Vec<Row> = right.iter().flat_map(|b| b.to_rows()).collect();
-    let mut right_matched = vec![false; right_rows.len()];
-    let pad_left = matches!(join_type, JoinType::Left | JoinType::Full);
-    let mut out = Vec::new();
-    let mut unmatched_left: Vec<Row> = Vec::new();
-
-    let table: Option<HashMap<Vec<Value>, Vec<usize>>> = if keys.left.is_empty() {
-        None
-    } else {
-        let mut t: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (j, r) in right_rows.iter().enumerate() {
-            if let Some(k) = eval_key(&keys.right, r)? {
-                t.entry(k).or_default().push(j);
-            }
-        }
-        Some(t)
+) -> DtResult<Vec<Batch>> {
+    let row_join = || {
+        let rows = execute_join(
+            &flatten(left),
+            &flatten(right),
+            left_arity,
+            right_arity,
+            join_type,
+            on,
+        )?;
+        Ok(rows_to_batches(rows))
     };
+    let keys = extract_equi_keys(on, left_arity);
+    if keys.left.is_empty() {
+        return row_join();
+    }
+    // An expression (a computed key or a residual ON conjunct) failed on
+    // some row. The columnar join evaluates them in a different order than
+    // the row interpreter, so let the row interpreter decide which error —
+    // if any — the query reports.
+    hash_join(left, right, left_arity, right_arity, join_type, &keys).or_else(|_| row_join())
+}
 
-    for b in left {
-        for i in 0..b.len() {
-            if !b.is_selected(i) {
+fn hash_join(
+    left: &[Batch],
+    right: &[Batch],
+    left_arity: usize,
+    right_arity: usize,
+    join_type: JoinType,
+    keys: &EquiKeys,
+) -> DtResult<Vec<Batch>> {
+    let build = concat_batches(right, right_arity);
+    let build_keys = KeyColumns::new(&build, &keys.right)?;
+    let probe_keys: Vec<KeyColumns> = left
+        .iter()
+        .map(|b| KeyColumns::new(b, &keys.left))
+        .collect::<DtResult<_>>()?;
+    let residual = rejoin_conjuncts(&keys.residual);
+
+    // Build: key id → build rows with that key, in build order. NULL keys
+    // never match, so they are never inserted.
+    let bk = build_keys.columns();
+    let mut index = KeyIndex::new(
+        KeyIndex::int_keyable(&bk)
+            && probe_keys
+                .iter()
+                .all(|k| KeyIndex::int_keyable(&k.columns())),
+    );
+    let mut rows_of: Vec<Vec<u32>> = Vec::new();
+    for j in 0..build.len() {
+        if any_null(&bk, j) {
+            continue;
+        }
+        let id = index.find_or_insert(&bk, j) as usize;
+        if id == rows_of.len() {
+            rows_of.push(Vec::new());
+        }
+        rows_of[id].push(j as u32);
+    }
+
+    let pad_left = matches!(join_type, JoinType::Left | JoinType::Full);
+    let mut right_matched = vec![false; build.len()];
+    let mut out = Vec::new();
+    let mut unmatched_left: Vec<(&Batch, Vec<usize>)> = Vec::new();
+    for (b, probe) in left.iter().zip(&probe_keys) {
+        let pk = probe.columns();
+        let live = b.live_indices();
+        let (mut lp, mut rp) = (Vec::new(), Vec::new());
+        for (rank, &p) in live.iter().enumerate() {
+            let k = if probe.dense { rank } else { p };
+            if any_null(&pk, k) {
                 continue;
             }
-            let l = b.row(i);
-            let mut matched = false;
-            match &table {
-                None => {
-                    // Nested loop (no equi-keys).
-                    for (j, r) in right_rows.iter().enumerate() {
-                        let joined = l.concat(r);
-                        if residual_ok(&keys.residual, &joined)? {
-                            matched = true;
-                            right_matched[j] = true;
-                            out.push(joined);
-                        }
-                    }
-                }
-                Some(t) => {
-                    if let Some(candidates) = eval_key(&keys.left, &l)?.and_then(|k| t.get(&k)) {
-                        for &j in candidates {
-                            let joined = l.concat(&right_rows[j]);
-                            if residual_ok(&keys.residual, &joined)? {
-                                matched = true;
-                                right_matched[j] = true;
-                                out.push(joined);
-                            }
-                        }
-                    }
+            if let Some(id) = index.find(&pk, k) {
+                for &j in &rows_of[id as usize] {
+                    lp.push(p);
+                    rp.push(j as usize);
                 }
             }
-            if pad_left && !matched {
-                unmatched_left.push(l);
+        }
+        let mut matched = gather_pairs(b, &lp, &build, &rp);
+        if let Some(residual) = &residual {
+            filter_batch(&mut matched, residual)?;
+        }
+        let mut left_matched = vec![false; b.len()];
+        for (t, (&p, &j)) in lp.iter().zip(&rp).enumerate() {
+            if matched.is_selected(t) {
+                left_matched[p] = true;
+                right_matched[j] = true;
+            }
+        }
+        if matched.live_count() > 0 {
+            out.push(matched);
+        }
+        if pad_left {
+            let unmatched: Vec<usize> = live.into_iter().filter(|&p| !left_matched[p]).collect();
+            if !unmatched.is_empty() {
+                unmatched_left.push((b, unmatched));
             }
         }
     }
 
-    for l in unmatched_left {
-        out.push(l.concat(&Row::nulls(right_arity)));
+    for (b, idx) in unmatched_left {
+        let mut columns: Vec<Arc<ColumnVec>> = b
+            .columns()
+            .iter()
+            .map(|c| Arc::new(c.gather(&idx)))
+            .collect();
+        columns.extend((0..right_arity).map(|_| Arc::new(null_column(idx.len()))));
+        out.push(Batch::new(columns, idx.len()));
     }
     if matches!(join_type, JoinType::Right | JoinType::Full) {
-        for (j, r) in right_rows.iter().enumerate() {
-            if !right_matched[j] {
-                out.push(Row::nulls(left_arity).concat(r));
-            }
+        let idx: Vec<usize> = (0..build.len()).filter(|&j| !right_matched[j]).collect();
+        if !idx.is_empty() {
+            let mut columns: Vec<Arc<ColumnVec>> = (0..left_arity)
+                .map(|_| Arc::new(null_column(idx.len())))
+                .collect();
+            columns.extend(build.columns().iter().map(|c| Arc::new(c.gather(&idx))));
+            out.push(Batch::new(columns, idx.len()));
         }
     }
     Ok(out)
+}
+
+/// One batch's join-key columns: the batch's own columns (indexed by
+/// physical slot) when every key is a bare column, otherwise the batch
+/// projected onto the key expressions (dense: indexed by the rank of the
+/// selected row).
+struct KeyColumns {
+    columns: Vec<Arc<ColumnVec>>,
+    dense: bool,
+}
+
+impl KeyColumns {
+    fn new(b: &Batch, exprs: &[ScalarExpr]) -> DtResult<KeyColumns> {
+        let bare: Option<Vec<Arc<ColumnVec>>> = exprs
+            .iter()
+            .map(|e| match e {
+                ScalarExpr::Column(c) if *c < b.arity() => Some(Arc::clone(b.column(*c))),
+                _ => None,
+            })
+            .collect();
+        Ok(match bare {
+            Some(columns) => KeyColumns {
+                columns,
+                dense: false,
+            },
+            None => KeyColumns {
+                columns: project_batch(b, exprs)?.columns().to_vec(),
+                dense: true,
+            },
+        })
+    }
+
+    fn columns(&self) -> Vec<&ColumnVec> {
+        self.columns.iter().map(|c| &**c).collect()
+    }
+}
+
+/// The joined batch of `left`'s slots `lp` paired with `build`'s slots
+/// `rp`.
+fn gather_pairs(left: &Batch, lp: &[usize], build: &Batch, rp: &[usize]) -> Batch {
+    let columns = left
+        .columns()
+        .iter()
+        .map(|c| Arc::new(c.gather(lp)))
+        .chain(build.columns().iter().map(|c| Arc::new(c.gather(rp))))
+        .collect();
+    Batch::new(columns, lp.len())
+}
+
+/// The selected rows of `batches` as one dense batch of `arity` columns:
+/// zero-copy for the common single-partition build side, shredded from
+/// rows otherwise.
+fn concat_batches(batches: &[Batch], arity: usize) -> Batch {
+    match batches {
+        [only] => only.compact(),
+        _ => Batch::from_rows(arity, &flatten(batches)),
+    }
+}
+
+/// An all-NULL column of `n` slots (outer-join padding).
+fn null_column(n: usize) -> ColumnVec {
+    ColumnVec::Int {
+        data: vec![0; n],
+        validity: Some(vec![false; n]),
+    }
 }
 
 fn residual_ok(residual: &[ScalarExpr], joined: &Row) -> DtResult<bool> {

@@ -20,14 +20,18 @@
 //! maps before any data is read.
 //!
 //! Join execution extracts conjunctive equi-join keys from the ON condition
-//! and hash-joins on them (probing batch by batch), falling back to a
-//! nested-loop for non-equi predicates; outer joins pad unmatched sides
-//! with NULLs.
+//! and hash-joins on them: the table is built on the right input's key
+//! columns and probed by each left batch's key columns, and the output is
+//! gathered column by column. Non-equi predicates fall back to a
+//! nested-loop; outer joins pad unmatched sides with NULLs. Grouped
+//! aggregates likewise hash group keys read from column slots and fold
+//! accumulators straight off the argument columns.
 
 pub mod aggregate;
 pub mod batch;
 pub mod executor;
 pub mod join;
+mod keys;
 pub mod window;
 
 pub use batch::{execute_batches, filter_batch, vectorizes};

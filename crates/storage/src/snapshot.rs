@@ -106,18 +106,36 @@ impl TableSnapshot {
     /// does not move). Surviving batches have the filter applied as a
     /// selection bitmap.
     pub fn partition_batch(&self, idx: usize, filter: Option<&PredicateSet>) -> Option<Batch> {
-        let p = &self.partitions[idx];
-        if let (Some(f), Some(zone_maps)) = (filter, p.zone_maps()) {
-            if f.prunes(zone_maps) {
-                crate::telemetry::record_zone_map_prune();
-                return None;
-            }
+        if self.prune(idx, filter) {
+            return None;
         }
-        let mut batch = p.batch();
+        let mut batch = self.partitions[idx].batch();
         if let Some(f) = filter {
             f.apply(&mut batch);
         }
         Some(batch)
+    }
+
+    /// Indices of the partitions `filter`'s zone maps cannot rule out, in
+    /// partition order. Each partition ruled out counts once toward the
+    /// storage prune counter, as a scan that skips it would; pass only the
+    /// survivors on to [`TableSnapshot::partition_batch`], where the check
+    /// passes again and counts nothing.
+    pub fn surviving_partitions(&self, filter: Option<&PredicateSet>) -> Vec<usize> {
+        (0..self.partitions.len())
+            .filter(|&i| !self.prune(i, filter))
+            .collect()
+    }
+
+    /// Does `filter` rule partition `idx` out by its zone maps? Counts the
+    /// prune when it does.
+    fn prune(&self, idx: usize, filter: Option<&PredicateSet>) -> bool {
+        let zone_maps = self.partitions[idx].zone_maps();
+        let pruned = matches!((filter, zone_maps), (Some(f), Some(z)) if f.prunes(z));
+        if pruned {
+            crate::telemetry::record_zone_map_prune();
+        }
+        pruned
     }
 
     /// Scan the pinned version as columnar batches (one per surviving

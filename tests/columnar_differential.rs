@@ -100,6 +100,36 @@ const FIXTURES: &[&str] = &[
     "SELECT a.k, a.v, b.w FROM t1 a JOIN t2 b ON a.k = b.k WHERE a.k < 60",
     "SELECT a.k, b.w FROM t1 a LEFT JOIN t2 b ON a.k = b.k WHERE a.k < 120",
     "SELECT a.v, b.w FROM t1 a FULL OUTER JOIN t2 b ON a.k = b.k WHERE a.k < 10 OR a.k IS NULL",
+    // WHERE through joins: each conjunct sinks into the input it
+    // references where that input is never NULL-padded, and stays above
+    // the join otherwise.
+    "SELECT a.k, b.k, b.w FROM t1 a RIGHT JOIN t2 b ON a.k = b.k WHERE b.k >= 40",
+    "SELECT a.k, b.k, b.w FROM t1 a RIGHT JOIN t2 b ON a.k = b.k WHERE b.k < 30 AND a.k > 10",
+    "SELECT a.k, b.w FROM t1 a LEFT JOIN t2 b ON a.k = b.k WHERE b.w > 50 AND a.k < 200",
+    "SELECT a.k, b.w FROM t1 a LEFT JOIN t2 b ON a.k = b.k WHERE a.k >= 90 AND b.k IS NULL",
+    "SELECT a.k, a.v, b.w FROM t1 a JOIN t2 b ON a.k = b.k \
+     WHERE a.k >= 20 AND b.w < 150 AND a.v + b.w > 10",
+    "SELECT a.k, b.w FROM t1 a FULL OUTER JOIN t2 b ON a.k = b.k WHERE b.w > 100 AND a.v < 5",
+    // Three-table join with WHERE conjuncts for the outer and inner joins.
+    "SELECT a.k, b.w, c.k, c.name FROM t1 a JOIN t2 b ON a.k = b.k \
+     JOIN t1 c ON c.v = a.v WHERE a.k < 30 AND c.k > 280 AND b.w > 3",
+    "SELECT a.k, b.w, c.name FROM t1 a LEFT JOIN t2 b ON a.k = b.k \
+     JOIN t1 c ON c.k = a.k + 1 WHERE a.k > 70 AND a.k < 130 AND b.w > 150",
+    // Equi-join with a residual ON conjunct and a computed key.
+    "SELECT a.k, b.w FROM t1 a JOIN t2 b ON a.k = b.k AND a.v < b.w - 100",
+    "SELECT a.k, b.k FROM t1 a JOIN t2 b ON a.k + 1 = b.k WHERE a.k < 40",
+    "SELECT a.k, b.k FROM t1 a LEFT JOIN t2 b ON a.k = b.k AND b.w > 20 WHERE a.k < 30",
+    // Grouped aggregates: string keys with NULLs, keys off a join, keys
+    // mixing Int and Float values that compare equal, count(col) over
+    // NULLs, DISTINCT aggregates and computed keys and arguments.
+    "SELECT name, count(*) c, sum(v) s, min(k) lo FROM t1 GROUP BY name",
+    "SELECT b.w > 100 big, a.name, count(*) c FROM t1 a JOIN t2 b ON a.k = b.k \
+     WHERE a.k < 90 GROUP BY b.w > 100, a.name",
+    "SELECT x, count(*) n FROM (SELECT k x FROM t2 UNION ALL SELECT w - 0.5 x FROM t2) u GROUP BY x",
+    "SELECT v, count(name) cn, count(*) c, avg(k) a FROM t1 GROUP BY v",
+    "SELECT v, count(DISTINCT name) d, sum(DISTINCT k % 5) s FROM t1 GROUP BY v",
+    "SELECT b.w, count(a.k) n, max(a.name) m FROM t1 a RIGHT JOIN t2 b ON a.k = b.k GROUP BY b.w",
+    "SELECT k % 4 g, sum(v * 2) s, count_if(v > 6) c FROM t1 GROUP BY k % 4",
     // Aggregation, distinct, union, windows, sort, limit.
     "SELECT v, count(*) c, min(k) lo, max(k) hi FROM t1 GROUP BY v",
     "SELECT count(*) n, sum(v) s FROM t1 WHERE k > 250",
@@ -120,6 +150,38 @@ fn every_fixture_agrees_between_row_and_columnar_paths() {
     let session = engine.session();
     for sql in FIXTURES {
         assert_paths_agree(&session, sql);
+    }
+}
+
+/// Queries that fail: both paths must return the same error.
+const FAILING: &[&str] = &[
+    // SUM over Int overflows (typed path).
+    "SELECT g, sum(x) FROM big GROUP BY g",
+    "SELECT sum(x) FROM big",
+    // Errors in a computed aggregate argument, join key, and ON residual.
+    "SELECT v, sum(10 / (v - 3)) FROM t1 GROUP BY v",
+    "SELECT a.k FROM t1 a JOIN t2 b ON a.k / (a.v - 3) = b.k",
+    "SELECT a.k FROM t1 a JOIN t2 b ON a.k = b.k AND 10 / (a.v - 3) > 0",
+];
+
+#[test]
+fn failing_queries_fail_alike_on_both_paths() {
+    let engine = fixture_engine();
+    let s = engine.session();
+    s.execute("CREATE TABLE big (g INT, x INT)").unwrap();
+    s.execute(
+        "INSERT INTO big VALUES (1, 1), (2, 4611686018427387904), \
+         (2, 4611686018427387904), (1, 2)",
+    )
+    .unwrap();
+    for sql in FAILING {
+        let q = parse_query(sql);
+        let snap = s.snapshot();
+        let plan = snap.bind_query(&q).unwrap().plan;
+        let legacy = dt_exec::execute_rows(&plan, &snap);
+        let columnar = dt_exec::execute(&dt_plan::push_down_filters(&plan), &snap);
+        assert!(legacy.is_err(), "{sql} should fail: {legacy:?}");
+        assert_eq!(legacy, columnar, "paths fail differently for: {sql}");
     }
 }
 
@@ -170,17 +232,17 @@ struct PropFixture;
 
 impl Resolver for PropFixture {
     fn resolve_relation(&self, name: &str) -> DtResult<ResolvedRelation> {
-        if name == "t" {
-            Ok(ResolvedRelation::Table {
+        let int = |n: &str| Column::new(n, DataType::Int);
+        match name {
+            "t" => Ok(ResolvedRelation::Table {
                 entity: EntityId(1),
-                schema: Schema::new(vec![
-                    Column::new("a", DataType::Int),
-                    Column::new("b", DataType::Int),
-                    Column::new("c", DataType::Int),
-                ]),
-            })
-        } else {
-            Err(DtError::Catalog(format!("unknown relation '{name}'")))
+                schema: Schema::new(vec![int("a"), int("b"), int("c")]),
+            }),
+            "u" => Ok(ResolvedRelation::Table {
+                entity: EntityId(2),
+                schema: Schema::new(vec![int("k"), int("d")]),
+            }),
+            _ => Err(DtError::Catalog(format!("unknown relation '{name}'"))),
         }
     }
 }
@@ -201,17 +263,24 @@ fn table_rows() -> impl Strategy<Value = Vec<Row>> {
     )
 }
 
-/// A random predicate over columns a/b/c, rendered as SQL text from a
-/// vector of entropy words (the vendored proptest stand-in has no
-/// recursive strategy combinator, so recursion lives in plain code).
-fn predicate_from(seeds: &[u64]) -> String {
-    fn build(seeds: &[u64], pos: &mut usize, depth: usize) -> String {
+fn dim_rows() -> impl Strategy<Value = Vec<Row>> {
+    prop::collection::vec(
+        (opt_int(), opt_int()).prop_map(|(k, d)| Row::new(vec![k, d])),
+        0..20,
+    )
+}
+
+/// A random predicate over `cols`, rendered as SQL text from a vector of
+/// entropy words (the vendored proptest stand-in has no recursive strategy
+/// combinator, so recursion lives in plain code).
+fn predicate_from(seeds: &[u64], cols: &[&str]) -> String {
+    fn build(seeds: &[u64], cols: &[&str], pos: &mut usize, depth: usize) -> String {
         let mut next = || {
             let v = seeds[*pos % seeds.len()];
             *pos += 1;
             v
         };
-        let col = |v: u64| ["a", "b", "c"][(v % 3) as usize];
+        let col = |v: u64| cols[(v % cols.len() as u64) as usize];
         let choice = if depth >= 3 { next() % 3 } else { next() % 6 };
         match choice {
             // Leaves: column-vs-literal, column-vs-column, IS NULL.
@@ -236,18 +305,18 @@ fn predicate_from(seeds: &[u64]) -> String {
             // Connectives.
             3 => format!(
                 "({}) AND ({})",
-                build(seeds, pos, depth + 1),
-                build(seeds, pos, depth + 1)
+                build(seeds, cols, pos, depth + 1),
+                build(seeds, cols, pos, depth + 1)
             ),
             4 => format!(
                 "({}) OR ({})",
-                build(seeds, pos, depth + 1),
-                build(seeds, pos, depth + 1)
+                build(seeds, cols, pos, depth + 1),
+                build(seeds, cols, pos, depth + 1)
             ),
-            _ => format!("NOT ({})", build(seeds, pos, depth + 1)),
+            _ => format!("NOT ({})", build(seeds, cols, pos, depth + 1)),
         }
     }
-    build(seeds, &mut 0, 0)
+    build(seeds, cols, &mut 0, 0)
 }
 
 const PROJECTIONS: &[&str] = &[
@@ -270,7 +339,7 @@ proptest! {
         let sql = format!(
             "SELECT {} FROM t WHERE {}",
             PROJECTIONS[proj_pick],
-            predicate_from(&seeds)
+            predicate_from(&seeds, &["a", "b", "c"])
         );
         let q = parse_query(&sql);
         let plan = Binder::new(&PropFixture).bind_query(&q).unwrap().plan;
@@ -281,4 +350,40 @@ proptest! {
             dt_exec::execute(&dt_plan::push_down_filters(&plan), &provider).unwrap();
         prop_assert_eq!(legacy, columnar, "diverged for: {}", sql);
     }
+
+    #[test]
+    fn random_joins_with_group_by_agree(
+        facts in table_rows(),
+        dims in dim_rows(),
+        seeds in prop::collection::vec(0u64..u64::MAX, 8..48),
+        join_pick in 0usize..JOINS.len(),
+        group_pick in 0usize..GROUPINGS.len(),
+    ) {
+        let (select, group_by) = GROUPINGS[group_pick];
+        let sql = format!(
+            "SELECT {select} FROM t {} u ON t.a = u.k WHERE {} {group_by}",
+            JOINS[join_pick],
+            predicate_from(&seeds, &["a", "b", "c", "k", "d"])
+        );
+        let q = parse_query(&sql);
+        let plan = Binder::new(&PropFixture).bind_query(&q).unwrap().plan;
+        let mut provider = MapProvider::new();
+        provider.insert(EntityId(1), facts);
+        provider.insert(EntityId(2), dims);
+        let legacy = dt_exec::execute_rows(&plan, &provider).unwrap();
+        let columnar =
+            dt_exec::execute(&dt_plan::push_down_filters(&plan), &provider).unwrap();
+        prop_assert_eq!(legacy, columnar, "diverged for: {}", sql);
+    }
 }
+
+const JOINS: &[&str] = &["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"];
+
+/// Select list and GROUP BY clause pairs over `t JOIN u`.
+const GROUPINGS: &[(&str, &str)] = &[
+    ("a, count(*) n, sum(b) s, count(d) cd", "GROUP BY a"),
+    ("d, count(*) n, min(c) lo, max(b) hi", "GROUP BY d"),
+    ("a, d, count(*) n, sum(c) s", "GROUP BY a, d"),
+    ("count(*) n, sum(d) s, avg(b) m", ""),
+    ("b, c, k", ""),
+];

@@ -166,6 +166,21 @@ fn full_refresh_mode_for_non_differentiable_queries() {
     let rows = db.query_sorted("SELECT v FROM top2").unwrap();
     assert_eq!(rows, vec![row!(30i64), row!(99i64)]);
     assert_eq!(eng.refresh_log().last().unwrap().action, "full");
+    // Initial and full refreshes report every source row they read: 3 rows
+    // at creation, 4 after the insert.
+    let log = eng.refresh_log().entries();
+    let (init, full) = (&log[log.len() - 2], &log[log.len() - 1]);
+    assert!(init.initial, "{init:?}");
+    assert_eq!((init.source_rows, full.source_rows), (3, 4));
+    // A DT over a DT counts the upstream version its refresh resolves to.
+    db.execute(
+        "CREATE DYNAMIC TABLE top1 TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT v FROM top2 ORDER BY v DESC LIMIT 1",
+    )
+    .unwrap();
+    let last = eng.refresh_log().last().unwrap();
+    assert!(last.initial, "{last:?}");
+    assert_eq!(last.source_rows, 2);
     // Requesting INCREMENTAL explicitly fails.
     let err = db
         .execute(
